@@ -454,16 +454,17 @@ let timed_stats seconds =
 (* 100 mixed queries (50 points-to, 25 alias, 25 reverse points-to)
    over a (variable, heap) relation — the serve daemon's workload. *)
 let query_batch pt =
+  let man = Space.man (Relation.space pt) and fpt = Relation.freeze pt in
   let dom_of name = (Relation.find_attr pt name).Relation.block.Space.dom in
   let nv = Domain.size (dom_of "variable") and nh = Domain.size (dom_of "heap") in
   for i = 0 to 49 do
-    ignore (Queries.points_to pt ~var:(i * 13 mod nv))
+    ignore (Queries.points_to man fpt ~var:(i * 13 mod nv))
   done;
   for i = 0 to 24 do
-    ignore (Queries.alias_heaps pt ~v1:(i * 13 mod nv) ~v2:(((i * 29) + 1) mod nv))
+    ignore (Queries.alias_heaps man fpt ~v1:(i * 13 mod nv) ~v2:(((i * 29) + 1) mod nv))
   done;
   for i = 0 to 24 do
-    ignore (Queries.pointed_by pt ~heap:(i * 7 mod nh))
+    ignore (Queries.pointed_by man fpt ~heap:(i * 7 mod nh))
   done
 
 let persist () =
@@ -649,7 +650,7 @@ let certify_bench () =
    do real BDD work.  Same seeds as the test, so this measures exactly
    the soak workload. *)
 let serve_bench () =
-  header "Serve: warm queries/sec vs worker domains (frozen space, per-domain ctxs)";
+  header "Serve: warm queries/sec vs worker domains (frozen space, per-domain overlays)";
   let nv = 48 and nh = 131072 in
   let rng = Random.State.make [| 0x5EED; 42 |] in
   let tbl = Hashtbl.create 4096 in
@@ -701,18 +702,18 @@ let serve_bench () =
         | _ -> if i mod 2 = 0 then "health" else "stats")
   in
   let roomy = { Pta.Serve.rq_timeout_s = Some 30.0; rq_max_allocs = Some 2_000_000; rq_max_nodes = None } in
-  (* One timed run: W domains, each with its own ctx, pulling query
+  (* One timed run: W domains, each with its own overlay, pulling query
      indices off a shared atomic counter until the mix is drained.
      Cold solve and store load happened above, outside the clock. *)
   let run_workers w =
     let stats = Pta.Serve.make_stats () in
     let idx = Atomic.make 0 in
     let worker () =
-      let ctx = Pta.Serve.new_ctx srv in
+      let ov = Pta.Serve.overlay srv in
       let rec go () =
         let i = Atomic.fetch_and_add idx 1 in
         if i < Array.length queries then begin
-          ignore (Pta.Serve.serve_line ~limits:roomy ~stats srv ctx queries.(i));
+          ignore (Pta.Serve.serve_line ~limits:roomy ~stats srv ov queries.(i));
           go ()
         end
       in
@@ -749,7 +750,7 @@ let serve_bench () =
    The replicated serving tier's two costs: how long a follower's
    verify + load + freeze + swap takes (the window during which it
    serves the *old* snapshot, never nothing), and what snapshot churn
-   does to warm-query throughput (workers rebuild their ctx per swap,
+   does to warm-query throughput (workers rebuild their overlay per swap,
    so some cache warmth is lost but the request path never blocks on a
    load). *)
 
@@ -809,7 +810,7 @@ let swap_bench () =
   Printf.printf "swap latency (verify+load+freeze+swap): avg %.1fms  max %.1fms over 10 swaps\n\n"
     (avg *. 1e3) (worst *. 1e3);
   (* Throughput: the same 8k-query warm batch, steady vs. continuous
-     snapshot churn (ctx teardown + cache refill on every worker per
+     snapshot churn (overlay rebuild + cache refill on every worker per
      swap). *)
   let queries =
     let qrng = Random.State.make [| 0x5A5A |] in

@@ -251,10 +251,36 @@ let algo_tag = function
   | Handcoded -> "handcoded"
   | Steens -> "steensgaard"
 
+(* The relations [--dump] can print: every relation the algorithm's
+   program declares.  The context domain's size does not change the
+   declarations, so a placeholder stands in for the solved one. *)
+let program_relations fg algo =
+  let text =
+    match algo with
+    | Cha_nofilter -> Some (Pta.Programs.algo1 fg)
+    | Cha -> Some (Pta.Programs.algo2 fg)
+    | Otf -> Some (Pta.Programs.algo3 fg)
+    | Cs | One_cfa -> Some (Pta.Programs.algo5 fg ~csize:1)
+    | Cs_otf -> Some (Pta.Programs.algo5_otf fg ~csize:1)
+    | Cs_types -> Some (Pta.Programs.algo6 fg ~csize:1)
+    | Escape -> Some (Pta.Programs.algo7 fg ~csize:1)
+    | Handcoded | Steens -> None
+  in
+  Option.map (fun t -> List.map (fun d -> d.Datalog.Ast.rel_name) (Datalog.Parser.parse t).Datalog.Ast.relations) text
+
 let analyze_cmd =
   let run path algo dump stats budget mem fallback save_store_dir =
     let p = or_die (read_program path) in
     let fg = Factgen.extract p in
+    (match program_relations fg algo with
+    | Some known -> (
+      match List.filter (fun name -> not (List.mem name known)) dump with
+      | [] -> ()
+      | name :: _ ->
+        Printf.eprintf "ptacli: --dump: %s is not a relation of this algorithm; it has: %s\n" name
+          (String.concat " " known);
+        exit 1)
+    | None -> ());
     let options = options_of_budget ~mem budget in
     (match (save_store_dir, algo) with
     | Some _, (Handcoded | Steens) ->
@@ -381,6 +407,7 @@ let analyze_cmd =
    cold path (freshly solved relations) and the warm path (relations
    loaded from a store), so both paths print byte-identical answers. *)
 let answer_pt_queries pt pt_query alias_query =
+  let man = Space.man (Relation.space pt) and fpt = Relation.freeze pt in
   let dom_of name = (Relation.find_attr pt name).Relation.block.Space.dom in
   let vdom = dom_of "variable" and hdom = dom_of "heap" in
   let resolve what s =
@@ -392,13 +419,13 @@ let answer_pt_queries pt pt_query alias_query =
   in
   (match pt_query with
   | Some v ->
-    let heaps = Pta.Queries.points_to pt ~var:(resolve "variable" v) in
+    let heaps = Pta.Queries.points_to man fpt ~var:(resolve "variable" v) in
     Printf.printf "points-to %s (%d heaps):\n" v (List.length heaps);
     List.iter (fun h -> Printf.printf "  %s\n" (Domain.element_name hdom h)) heaps
   | None -> ());
   match alias_query with
   | Some (v1, v2) ->
-    let shared = Pta.Queries.alias_heaps pt ~v1:(resolve "variable" v1) ~v2:(resolve "variable" v2) in
+    let shared = Pta.Queries.alias_heaps man fpt ~v1:(resolve "variable" v1) ~v2:(resolve "variable" v2) in
     Printf.printf "alias %s %s: %s (%d shared heaps)\n" v1 v2 (if shared = [] then "no" else "yes")
       (List.length shared);
     List.iter (fun h -> Printf.printf "  %s\n" (Domain.element_name hdom h)) shared
@@ -876,7 +903,7 @@ let certify_cmd =
    process lifecycle: stale-socket detection, a bounded concurrent
    accept loop (one thread per connection doing I/O, evaluation
    dispatched onto a pool of worker domains each owning a private
-   evaluation ctx over the frozen store), `err busy` backpressure at
+   overlay of the frozen store), `err busy` backpressure at
    capacity, EINTR-safe accept, and SIGTERM/SIGINT graceful shutdown
    that drains in-flight requests, joins the pool, removes the socket
    file and prints final stats. *)
@@ -958,7 +985,7 @@ let serve_cmd =
       (Store.snapshot st);
     let shutdown = ref false in
     (* Evaluation runs on a pool of worker domains, each with a
-       private ctx over the frozen store; connection threads only do
+       private overlay of the frozen store; connection threads only do
        I/O and block in [Pool.run] until their answer is ready.  The
        pool reads the server through a swappable source so a follower
        can hot-swap snapshots underneath it. *)

@@ -88,6 +88,8 @@ type man = {
   pbits : int; (* copies of the arena geometry, saving a load on the hot path *)
   pmask : int;
   mode : gc_mode;
+  base : int; (* overlay: first own handle, below it the shared snapshot; 0 = plain *)
+  snap_buckets : int array; (* overlay: the snapshot's read-only unique table *)
   mutable buckets : int array; (* heads, -1 = empty *)
   mutable free_head : int;
   mutable num_slots : int; (* slots ever allocated, including freed *)
@@ -119,6 +121,11 @@ type man = {
   mutable cache_scratch : int array;
   mutable reloc_scratch : int array;
   mutable order_scratch : int array;
+  (* Overlay only: the cache slots stored since the last [reset] whose
+     entry may name an own handle; a count past the log's length means
+     it overflowed and [reset] sweeps the whole (fixed-size) cache. *)
+  cache_log : int array;
+  mutable cache_logged : int;
 }
 
 exception Limit_exceeded of Budget.reason
@@ -202,7 +209,10 @@ let high m n =
    the level. *)
 let level m n = nvar m n
 
-let live_nodes m = m.num_slots - 2 - m.num_free
+(* A plain manager's own nodes start after the terminals, an
+   overlay's at [base].  (Not [max]: that is a polymorphic compare,
+   and this runs on every fresh node.) *)
+let live_nodes m = m.num_slots - (if m.base = 0 then 2 else m.base) - m.num_free
 let peak_live_nodes m = m.peak_live
 let reset_peak m = m.peak_live <- live_nodes m
 let gc_count m = m.gcs
@@ -228,6 +238,44 @@ let hash3 a b c = (a * 12582917) lxor (b * 4256249) lxor (c * 741457)
 
 let sweep_stale_spills = A.sweep_stale_spills
 
+let make_man ~arena ~mode ~base ~snap_buckets ~buckets ~cache_bits ~nvars =
+  {
+    arena;
+    pbits = arena.A.page_bits;
+    pmask = arena.A.page_mask;
+    mode;
+    base;
+    snap_buckets;
+    buckets = Array.make buckets (-1);
+    free_head = -1;
+    num_slots = (if base = 0 then 2 else base);
+    num_free = 0;
+    peak_live = 0;
+    nvars;
+    cache = Array.make ((1 lsl cache_bits) * 5) (-1);
+    cache_mask = (1 lsl cache_bits) - 1;
+    cache_h = Array.make n_classes 0;
+    cache_m = Array.make n_classes 0;
+    map_counter = 0;
+    roots = [];
+    root_lists = [];
+    root_fns = [];
+    remap_hooks = [];
+    gcs = 0;
+    marks = Bytes.create 0;
+    stack = Array.make 1024 0;
+    visited = [||];
+    var_seen = [||];
+    stamp = 0;
+    allocs = 0;
+    budget = None;
+    cache_scratch = [||];
+    reloc_scratch = [||];
+    order_scratch = [||];
+    cache_log = (if base > 0 then Array.make (1 lsl cache_bits) 0 else [||]);
+    cache_logged = 0;
+  }
+
 let create ?(node_hint = 1 lsl 16) ?(cache_bits = 16) ?page_bits ?max_bytes ?spill_path ?(gc_mode = Sweep) ~nvars () =
   (* A capped manager bound for the temp directory sweeps its
      predecessors' orphaned scratch files first — a SIGKILLed capped
@@ -244,40 +292,7 @@ let create ?(node_hint = 1 lsl 16) ?(cache_bits = 16) ?page_bits ?max_bytes ?spi
     let rec up c = if c >= want then c else up (c * 2) in
     up 1024
   in
-  let m =
-    {
-      arena;
-      pbits = arena.A.page_bits;
-      pmask = arena.A.page_mask;
-      mode = gc_mode;
-      buckets = Array.make bcap (-1);
-      free_head = -1;
-      num_slots = 2;
-      num_free = 0;
-      peak_live = 0;
-      nvars;
-      cache = Array.make ((1 lsl cache_bits) * 5) (-1);
-      cache_mask = (1 lsl cache_bits) - 1;
-      cache_h = Array.make n_classes 0;
-      cache_m = Array.make n_classes 0;
-      map_counter = 0;
-      roots = [];
-      root_lists = [];
-      root_fns = [];
-      remap_hooks = [];
-      gcs = 0;
-      marks = Bytes.create 0;
-      stack = Array.make 1024 0;
-      visited = [||];
-      var_seen = [||];
-      stamp = 0;
-      allocs = 0;
-      budget = None;
-      cache_scratch = [||];
-      reloc_scratch = [||];
-      order_scratch = [||];
-    }
-  in
+  let m = make_man ~arena ~mode:gc_mode ~base:0 ~snap_buckets:[| -1 |] ~buckets:bcap ~cache_bits ~nvars in
   let p0 = A.add_page arena in
   A.set_tail arena p0;
   (* The terminal page carries a permanent extra pin on top of any
@@ -299,8 +314,10 @@ let dispose m = A.dispose m.arena
    spilled — spilled pages still count against a [Budget] byte limit,
    which bounds the problem size, not the cache size) plus the bucket
    array.  The op cache is excluded: it is bounded by
-   [max_cache_entries] regardless of problem size. *)
-let table_bytes m = A.total_bytes m.arena + (8 * Array.length m.buckets)
+   [max_cache_entries] regardless of problem size.  An overlay counts
+   its own pages only: the shared snapshot's 32-byte records below
+   [base] are not its storage. *)
+let table_bytes m = A.total_bytes m.arena - (32 * m.base) + (8 * Array.length m.buckets)
 
 type arena_stats = {
   page_bits : int;
@@ -334,13 +351,14 @@ let arena_stats m =
 
 (* Rebuild every bucket chain.  Page-wise so each page is faulted at
    most once; the chains are threaded through [next], so the whole
-   arena is rewritten and every touched page goes dirty. *)
+   arena is rewritten and every touched page goes dirty.  An overlay
+   rehashes its own pages only: the snapshot's are shared. *)
 let rehash m =
   Array.fill m.buckets 0 (Array.length m.buckets) (-1);
   let mask = Array.length m.buckets - 1 in
   let a = m.arena in
   let spp = a.A.slots_per_page in
-  for p = 0 to a.A.num_pages - 1 do
+  for p = m.base lsr m.pbits to a.A.num_pages - 1 do
     let base = p * spp in
     let lo = if p = 0 then 2 else 0 in
     let hi = min spp (m.num_slots - base) in
@@ -390,11 +408,13 @@ let grow_cache m =
 
 (* Growing is appending one page; the bucket array (and with it the op
    cache) only doubles when the capacity outruns it, so existing chains
-   are left untouched on the common page-append path. *)
+   are left untouched on the common page-append path.  An overlay
+   sizes its buckets to its own pages and keeps its cache size fixed,
+   so the slots in [cache_log] stay valid. *)
 let grow m =
   let p = A.add_page m.arena in
   A.set_tail m.arena p;
-  let cap = A.capacity m.arena in
+  let cap = A.capacity m.arena - m.base in
   if cap > Array.length m.buckets then begin
     let nb = ref (Array.length m.buckets) in
     while !nb < cap do
@@ -402,7 +422,7 @@ let grow m =
     done;
     m.buckets <- Array.make !nb (-1);
     rehash m;
-    if m.cache_mask + 1 < !nb && m.cache_mask + 1 < max_cache_entries then grow_cache m
+    if m.base = 0 && m.cache_mask + 1 < !nb && m.cache_mask + 1 < max_cache_entries then grow_cache m
   end
 
 let budget_check m =
@@ -413,20 +433,30 @@ let budget_check m =
     | Some reason -> raise (Limit_exceeded reason)
     | None -> ())
 
+(* The node [(v, l, h)] on the hash chain starting at [n], or -1. *)
+let rec chain_find m n v l h =
+  if n = -1 then -1
+  else begin
+    let pg = node_page m n in
+    let i = (n land m.pmask) * 4 in
+    if pg.(i) = v && pg.(i + 1) = l && pg.(i + 2) = h then n else chain_find m pg.(i + 3) v l h
+  end
+
+let[@inline] own_find m v l h = chain_find m m.buckets.(hash3 v l h land (Array.length m.buckets - 1)) v l h
+
 let mk m v l h =
   if l = h then l
   else begin
-    let mask = Array.length m.buckets - 1 in
-    let b = hash3 v l h land mask in
-    let rec find n =
-      if n = -1 then -1
-      else begin
-        let pg = node_page m n in
-        let i = (n land m.pmask) * 4 in
-        if pg.(i) = v && pg.(i + 1) = l && pg.(i + 2) = h then n else find pg.(i + 3)
+    (* Snapshot nodes never point at overlay nodes, so only a node over
+       two snapshot children can already be in the snapshot.  On a
+       plain manager [base] is 0 and this is one failed compare. *)
+    let found =
+      if l < m.base && h < m.base then begin
+        let s = chain_find m m.snap_buckets.(hash3 v l h land (Array.length m.snap_buckets - 1)) v l h in
+        if s >= 0 then s else own_find m v l h
       end
+      else own_find m v l h
     in
-    let found = find m.buckets.(b) in
     if found >= 0 then found
     else begin
       m.allocs <- m.allocs + 1;
@@ -504,7 +534,13 @@ let cache_store m op a b c r =
   cache.(i + 1) <- a;
   cache.(i + 2) <- b;
   cache.(i + 3) <- c;
-  cache.(i + 4) <- r
+  cache.(i + 4) <- r;
+  let base = m.base in
+  if base > 0 && (r >= base || a >= base || b >= base || c >= base) then begin
+    let k = m.cache_logged in
+    if k < Array.length m.cache_log then m.cache_log.(k) <- slot;
+    m.cache_logged <- k + 1
+  end
 
 let rec mk_not m f =
   if f = bdd_false then bdd_true
@@ -1465,58 +1501,55 @@ let gc_compact m =
   List.iter (fun h -> h mapf) m.remap_hooks;
   m.gcs <- m.gcs + 1
 
+(* Collection and freezing rewrite the node pages, which an overlay
+   shares with every other overlay over the same snapshot. *)
+let check_plain m what = if m.base > 0 then invalid_arg (what ^ ": not on an overlay")
+
 let gc m =
+  check_plain m "Bdd.gc";
   match m.mode with
   | Sweep -> gc_sweep m
   | Compact -> gc_compact m
 
-(* --- Frozen spaces and per-domain evaluation contexts ---------------
+(* --- Frozen snapshots and overlays -----------------------------------
 
    Multicore warm-query serving: [freeze] snapshots a manager's node
    table into an immutable value that any number of domains may read
-   concurrently, and [eval_ctx] gives each domain a private arena for
-   the fresh nodes a query allocates.
+   concurrently, and [overlay] gives each domain an ordinary manager
+   over it, so queries run through the same kernels as the solver.
 
    The snapshot is the post-GC page set, copied page by page out of
-   the buffer pool into plain immutable arrays (spilled pages are
-   faulted in to be copied, so a frozen space is always fully
-   resident).  Under [Sweep] GC the surviving handles keep their slots,
-   so every live handle denotes exactly the same function in the
-   frozen space.  Under [Compact] the collection renumbers — but it
-   also rewrites every registered root through the remap protocol, so
-   handles read back from their rooted homes after [freeze] returns
-   are equally valid in the snapshot, and the frozen pages come out
-   level-clustered for the same locality win the live manager gets.
-   Either way, answers computed against a frozen space are
-   bit-identical to the live evaluator's.
+   the buffer pool into plain arrays (spilled pages are faulted in to
+   be copied, so a snapshot is always fully resident), plus a copy of
+   the unique table.  The collection keeps every registered root
+   valid: under [Sweep] no handle moves, and under [Compact] the
+   renumbering rewrites every [add_root] ref, [add_root_list] list and
+   [on_remap] hook, so handles read back from their rooted homes after
+   [freeze] returns are valid snapshot handles.
 
-   A ctx's fresh nodes occupy the handle range [fz_base, ...): a handle
-   below the base reads the frozen pages, at or above it the ctx's own
-   (flat, private, never-spilled) arena.  Frozen nodes never point at
-   ctx nodes (they existed first), so the ctx constructor consults the
-   frozen unique table only when both children are frozen.  The ctx op
-   cache is stride-6 with a generation stamp: [ctx_reset] disposes
-   every query-local node in O(live ctx nodes) by clearing the local
-   unique table and bumping the generation, while cache entries whose
-   operands AND result are all frozen stay valid across resets (warm
-   repeated queries stay warm).
-
-   No operation on a ctx ever writes to the frozen pages, takes a
-   lock, or touches the originating manager — the whole query path is
-   wait-free with respect to other domains. *)
+   An overlay's arena starts with the snapshot's pages, shared and
+   never written, so snapshot handles read as they did in the frozen
+   manager.  Its own nodes start at [base], the first slot of the next
+   page, with their own unique table and a fixed-size op cache.  Since
+   snapshot nodes only point at snapshot nodes, [mk] consults the
+   snapshot's table only for two snapshot children.  [reset] drops
+   every own node by truncating to [base] and invalidates the cache
+   entries that name one, which [cache_store] logged; entries over
+   snapshot handles only stay warm across resets.  Its cost depends on
+   the overlay's own table and cache, never on the snapshot's size.
+   Overlays are uncapped, and [gc]/[freeze] refuse them, so
+   nothing an overlay does writes state another domain reads. *)
 
 type frozen = {
-  fz_pages : int array array; (* packed stride-4 pages, handles [0, fz_base) *)
+  fz_pages : int array array;
   fz_page_bits : int;
-  fz_page_mask : int;
   fz_buckets : int array;
-  fz_mask : int;
-  fz_base : int; (* ctx handles start here *)
   fz_nvars : int;
   fz_live : int;
 }
 
 let freeze m =
+  check_plain m "Bdd.freeze";
   (* Collect first so the snapshot holds only reachable nodes (and,
      under [Compact], is level-clustered and densely numbered). *)
   gc m;
@@ -1529,15 +1562,11 @@ let freeze m =
   {
     fz_pages = pages;
     fz_page_bits = a.A.page_bits;
-    fz_page_mask = a.A.page_mask;
     fz_buckets = Array.copy m.buckets;
-    fz_mask = Array.length m.buckets - 1;
-    fz_base = m.num_slots;
     fz_nvars = m.nvars;
     fz_live = live_nodes m;
   }
 
-let frozen_nvars fz = fz.fz_nvars
 let frozen_live_nodes fz = fz.fz_live
 
 let frozen_bytes fz =
@@ -1546,397 +1575,30 @@ let frozen_bytes fz =
   in
   (pages + Array.length fz.fz_buckets) * 8
 
-(* Frozen-page field read; the terminals live in page 0 with
-   [terminal_var] in the var slot, exactly as in the live arena. *)
-let[@inline] fzf fz n k = fz.fz_pages.(n lsr fz.fz_page_bits).(((n land fz.fz_page_mask) * 4) + k)
+let overlay fz =
+  let arena = A.create ~page_bits:fz.fz_page_bits () in
+  A.adopt arena fz.fz_pages;
+  make_man ~arena ~mode:Sweep ~base:(A.capacity arena) ~snap_buckets:fz.fz_buckets ~buckets:1024 ~cache_bits:14
+    ~nvars:fz.fz_nvars
 
-type ctx = {
-  c_fz : frozen;
-  mutable c_nodes : int array; (* stride-4 arena; slot s is handle fz_base + s *)
-  mutable c_buckets : int array; (* chain heads, handles, -1 = empty *)
-  mutable c_mask : int;
-  mutable c_num : int; (* ctx-local nodes allocated since the last reset *)
-  c_cache : int array; (* stride-6 [op; a; b; c; result; generation] *)
-  c_cache_mask : int;
-  mutable c_gen : int;
-  mutable c_allocs : int; (* total ctx allocations, never reset *)
-  mutable c_hits : int;
-  mutable c_misses : int;
-  mutable c_budget : Budget.t option;
-}
-
-let eval_ctx ?(node_hint = 1 lsl 12) ?(cache_bits = 14) fz =
-  let cap =
-    let rec up c = if c >= node_hint then c else up (c * 2) in
-    up 1024
+let reset m =
+  if m.base = 0 then invalid_arg "Bdd.reset: not an overlay";
+  let cache = m.cache and base = m.base in
+  let drop slot =
+    let i = slot * 5 in
+    if cache.(i) >= 0 && (cache.(i + 4) >= base || cache.(i + 1) >= base || cache.(i + 2) >= base || cache.(i + 3) >= base)
+    then cache.(i) <- -1
   in
-  {
-    c_fz = fz;
-    c_nodes = Array.make (cap * 4) (-1);
-    c_buckets = Array.make cap (-1);
-    c_mask = cap - 1;
-    c_num = 0;
-    c_cache = Array.make ((1 lsl cache_bits) * 6) (-1);
-    c_cache_mask = (1 lsl cache_bits) - 1;
-    c_gen = 0;
-    c_allocs = 0;
-    c_hits = 0;
-    c_misses = 0;
-    c_budget = None;
-  }
-
-let ctx_frozen c = c.c_fz
-let ctx_allocations c = c.c_allocs
-let ctx_live_nodes c = c.c_num
-let ctx_set_budget c b = c.c_budget <- b
-let ctx_cache_stats c = (c.c_hits, c.c_misses)
-
-let ctx_reset c =
-  if c.c_num > 0 then begin
-    Array.fill c.c_buckets 0 (Array.length c.c_buckets) (-1);
-    c.c_num <- 0
-  end;
-  (* Bumping the generation invalidates every cache entry that touches
-     a (now dead) ctx handle; entries over frozen handles only are kept
-     by the lookup's cross-generation check. *)
-  c.c_gen <- c.c_gen + 1
-
-let ctx_dispose c =
-  ctx_reset c;
-  (* Drop the arena and unique table so the only remaining retained
-     storage is the (shared) frozen space and the fixed-size op cache;
-     a follower swapping snapshots can therefore release an old space
-     by disposing its ctxs and dropping the [frozen] value — both are
-     then ordinary unreachable heap blocks for the GC.  A disposed ctx
-     must not be used again: the first fresh allocation through it
-     lands in [ctx_grow]'s zero-capacity guard and raises. *)
-  c.c_nodes <- [||];
-  c.c_buckets <- [| -1 |];
-  c.c_mask <- 0;
-  c.c_budget <- None
-
-(* Field reads dispatch on the handle range; terminals live in the
-   frozen pages (slots 0/1, var = terminal_var), so [cvar] orders
-   levels correctly without a terminal test. *)
-let[@inline] cvar c n = if n < c.c_fz.fz_base then fzf c.c_fz n 0 else c.c_nodes.((n - c.c_fz.fz_base) * 4)
-let[@inline] clow c n = if n < c.c_fz.fz_base then fzf c.c_fz n 1 else c.c_nodes.(((n - c.c_fz.fz_base) * 4) + 1)
-let[@inline] chigh c n = if n < c.c_fz.fz_base then fzf c.c_fz n 2 else c.c_nodes.(((n - c.c_fz.fz_base) * 4) + 2)
-
-let ctx_budget_check c =
-  match c.c_budget with
-  | None -> ()
-  | Some b -> (
-    match Budget.check_nodes b ~bytes:(8 * Array.length c.c_nodes) ~live:c.c_num ~allocs:c.c_allocs () with
-    | Some reason -> raise (Limit_exceeded reason)
-    | None -> ())
-
-let ctx_grow c =
-  let cap = Array.length c.c_nodes / 4 in
-  if cap = 0 then failwith "Bdd: eval_ctx used after ctx_dispose";
-  let cap' = cap * 2 in
-  c.c_nodes <- Array.append c.c_nodes (Array.make (cap * 4) (-1));
-  c.c_buckets <- Array.make cap' (-1);
-  c.c_mask <- cap' - 1;
-  let base = c.c_fz.fz_base in
-  for s = 0 to c.c_num - 1 do
-    let b = hash3 c.c_nodes.(s * 4) c.c_nodes.((s * 4) + 1) c.c_nodes.((s * 4) + 2) land c.c_mask in
-    c.c_nodes.((s * 4) + 3) <- c.c_buckets.(b);
-    c.c_buckets.(b) <- base + s
-  done
-
-let cmk_local c v l h =
-  let base = c.c_fz.fz_base in
-  let b0 = hash3 v l h land c.c_mask in
-  let rec find n =
-    if n = -1 then -1
-    else begin
-      let s = (n - base) * 4 in
-      if c.c_nodes.(s) = v && c.c_nodes.(s + 1) = l && c.c_nodes.(s + 2) = h then n else find c.c_nodes.(s + 3)
-    end
-  in
-  let found = find c.c_buckets.(b0) in
-  if found >= 0 then found
-  else begin
-    c.c_allocs <- c.c_allocs + 1;
-    if c.c_allocs land (budget_check_interval - 1) = 0 then ctx_budget_check c;
-    if c.c_num * 4 = Array.length c.c_nodes then ctx_grow c;
-    let s = c.c_num in
-    c.c_num <- s + 1;
-    c.c_nodes.(s * 4) <- v;
-    c.c_nodes.((s * 4) + 1) <- l;
-    c.c_nodes.((s * 4) + 2) <- h;
-    (* Recompute the bucket: [ctx_grow] may have changed the mask. *)
-    let b = hash3 v l h land c.c_mask in
-    c.c_nodes.((s * 4) + 3) <- c.c_buckets.(b);
-    c.c_buckets.(b) <- base + s;
-    base + s
+  if m.cache_logged > Array.length m.cache_log then
+    for slot = 0 to m.cache_mask do
+      drop slot
+    done
+  else
+    for k = 0 to m.cache_logged - 1 do
+      drop m.cache_log.(k)
+    done;
+  m.cache_logged <- 0;
+  if m.num_slots > base then begin
+    Array.fill m.buckets 0 (Array.length m.buckets) (-1);
+    m.num_slots <- base
   end
-
-let cmk c v l h =
-  if l = h then l
-  else begin
-    let base = c.c_fz.fz_base in
-    if l < base && h < base then begin
-      (* Both children frozen: the node may predate the freeze, in
-         which case returning the frozen handle keeps results on the
-         shared, already-canonical part of the space. *)
-      let fz = c.c_fz in
-      let b = hash3 v l h land fz.fz_mask in
-      let rec find n =
-        if n = -1 then -1
-        else if fzf fz n 0 = v && fzf fz n 1 = l && fzf fz n 2 = h then n
-        else find (fzf fz n 3)
-      in
-      let found = find fz.fz_buckets.(b) in
-      if found >= 0 then found else cmk_local c v l h
-    end
-    else cmk_local c v l h
-  end
-
-let ctx_ithvar c i =
-  if i < 0 || i >= c.c_fz.fz_nvars then invalid_arg "Bdd.ctx_ithvar";
-  cmk c i bdd_false bdd_true
-
-let ctx_nithvar c i =
-  if i < 0 || i >= c.c_fz.fz_nvars then invalid_arg "Bdd.ctx_nithvar";
-  cmk c i bdd_true bdd_false
-
-(* The ctx cache accepts an entry if it was written since the last
-   reset, or if every handle in it is frozen (such entries describe the
-   immutable part of the space and survive resets — repeated warm
-   queries hit them forever). *)
-let ccache_lookup c op a b d =
-  let i = (hash3 (op + (a * 31)) b d land c.c_cache_mask) * 6 in
-  let t = c.c_cache in
-  if
-    t.(i) = op
-    && t.(i + 1) = a
-    && t.(i + 2) = b
-    && t.(i + 3) = d
-    && (t.(i + 5) = c.c_gen
-       ||
-       let base = c.c_fz.fz_base in
-       a < base && b < base && d < base && t.(i + 4) < base)
-  then begin
-    c.c_hits <- c.c_hits + 1;
-    t.(i + 4)
-  end
-  else begin
-    c.c_misses <- c.c_misses + 1;
-    -1
-  end
-
-let ccache_store c op a b d r =
-  let i = (hash3 (op + (a * 31)) b d land c.c_cache_mask) * 6 in
-  let t = c.c_cache in
-  t.(i) <- op;
-  t.(i + 1) <- a;
-  t.(i + 2) <- b;
-  t.(i + 3) <- d;
-  t.(i + 4) <- r;
-  t.(i + 5) <- c.c_gen
-
-let rec cnot c f =
-  if f = bdd_false then bdd_true
-  else if f = bdd_true then bdd_false
-  else begin
-    let cached = ccache_lookup c op_not f 0 0 in
-    if cached >= 0 then cached
-    else begin
-      let r = cmk c (cvar c f) (cnot c (clow c f)) (cnot c (chigh c f)) in
-      ccache_store c op_not f 0 0 r;
-      r
-    end
-  end
-
-let rec cand c f g =
-  if f = g || g = bdd_true then f
-  else if f = bdd_true then g
-  else if f = bdd_false || g = bdd_false then bdd_false
-  else begin
-    let f, g = if f > g then (g, f) else (f, g) in
-    let cached = ccache_lookup c op_and f g 0 in
-    if cached >= 0 then cached
-    else begin
-      let vf = cvar c f and vg = cvar c g in
-      let r =
-        if vf = vg then cmk c vf (cand c (clow c f) (clow c g)) (cand c (chigh c f) (chigh c g))
-        else if vf < vg then cmk c vf (cand c (clow c f) g) (cand c (chigh c f) g)
-        else cmk c vg (cand c f (clow c g)) (cand c f (chigh c g))
-      in
-      ccache_store c op_and f g 0 r;
-      r
-    end
-  end
-
-let rec cor c f g =
-  if f = g || g = bdd_false then f
-  else if f = bdd_false then g
-  else if f = bdd_true || g = bdd_true then bdd_true
-  else begin
-    let f, g = if f > g then (g, f) else (f, g) in
-    let cached = ccache_lookup c op_or f g 0 in
-    if cached >= 0 then cached
-    else begin
-      let vf = cvar c f and vg = cvar c g in
-      let r =
-        if vf = vg then cmk c vf (cor c (clow c f) (clow c g)) (cor c (chigh c f) (chigh c g))
-        else if vf < vg then cmk c vf (cor c (clow c f) g) (cor c (chigh c f) g)
-        else cmk c vg (cor c f (clow c g)) (cor c f (chigh c g))
-      in
-      ccache_store c op_or f g 0 r;
-      r
-    end
-  end
-
-let rec cdiff c f g =
-  if f = bdd_false || g = bdd_true || f = g then bdd_false
-  else if g = bdd_false then f
-  else if f = bdd_true then cnot c g
-  else begin
-    let cached = ccache_lookup c op_diff f g 0 in
-    if cached >= 0 then cached
-    else begin
-      let vf = cvar c f and vg = cvar c g in
-      let r =
-        if vf = vg then cmk c vf (cdiff c (clow c f) (clow c g)) (cdiff c (chigh c f) (chigh c g))
-        else if vf < vg then cmk c vf (cdiff c (clow c f) g) (cdiff c (chigh c f) g)
-        else cmk c vg (cdiff c f (clow c g)) (cdiff c f (chigh c g))
-      in
-      ccache_store c op_diff f g 0 r;
-      r
-    end
-  end
-
-let rec cskip_cube c cube v =
-  if is_const cube then cube
-  else if cvar c cube < v then cskip_cube c (chigh c cube) v
-  else cube
-
-let rec cexist c cube f =
-  if is_const f then f
-  else begin
-    let cube = cskip_cube c cube (cvar c f) in
-    if cube = bdd_true then f
-    else begin
-      let cached = ccache_lookup c op_exist f cube 0 in
-      if cached >= 0 then cached
-      else begin
-        let v = cvar c f in
-        let r =
-          if cvar c cube = v then begin
-            let r0 = cexist c (chigh c cube) (clow c f) in
-            if r0 = bdd_true then bdd_true else cor c r0 (cexist c (chigh c cube) (chigh c f))
-          end
-          else cmk c v (cexist c cube (clow c f)) (cexist c cube (chigh c f))
-        in
-        ccache_store c op_exist f cube 0 r;
-        r
-      end
-    end
-  end
-
-let rec crelprod c cube f g =
-  if f = bdd_false || g = bdd_false then bdd_false
-  else if f = g || g = bdd_true then cexist c cube f
-  else if f = bdd_true then cexist c cube g
-  else begin
-    let vf = cvar c f and vg = cvar c g in
-    let v = if vf < vg then vf else vg in
-    let cube = cskip_cube c cube v in
-    if cube = bdd_true then cand c f g
-    else begin
-      let f, g, vf, vg = if f > g then (g, f, vg, vf) else (f, g, vf, vg) in
-      let cached = ccache_lookup c op_relprod f g cube in
-      if cached >= 0 then cached
-      else begin
-        let f0, f1 = if vf = v then (clow c f, chigh c f) else (f, f) in
-        let g0, g1 = if vg = v then (clow c g, chigh c g) else (g, g) in
-        let r =
-          if cvar c cube = v then begin
-            let r0 = crelprod c (chigh c cube) f0 g0 in
-            if r0 = bdd_true then bdd_true else cor c r0 (crelprod c (chigh c cube) f1 g1)
-          end
-          else cmk c v (crelprod c cube f0 g0) (crelprod c cube f1 g1)
-        in
-        ccache_store c op_relprod f g cube r;
-        r
-      end
-    end
-  end
-
-let ctx_not c f = cnot c f
-let ctx_and c f g = cand c f g
-let ctx_or c f g = cor c f g
-let ctx_diff c f g = cdiff c f g
-let ctx_exist c ~cube f = cexist c cube f
-let ctx_relprod c ~cube f g = crelprod c cube f g
-
-let ctx_cube_of_vars c vs =
-  let sorted = List.sort_uniq compare vs in
-  List.fold_right (fun v acc -> cmk c v bdd_false acc) sorted bdd_true
-
-let ctx_const_value c ~bits value =
-  let w = Array.length bits in
-  if w < Sys.int_size - 1 && value lsr w <> 0 then invalid_arg "Bdd.ctx_const_value: value too wide";
-  let acc = ref bdd_true in
-  for i = w - 1 downto 0 do
-    let lit = if (value lsr i) land 1 = 1 then ctx_ithvar c bits.(i) else ctx_nithvar c bits.(i) in
-    acc := cand c lit !acc
-  done;
-  !acc
-
-let ctx_satcount c ~vars f =
-  let len = Array.length vars in
-  let pos = Hashtbl.create len in
-  Array.iteri (fun i v -> Hashtbl.add pos v i) vars;
-  let memo = Hashtbl.create 64 in
-  let rec count n i =
-    if n = bdd_false then 0.0
-    else if n = bdd_true then Float.pow 2.0 (float_of_int (len - i))
-    else begin
-      let j =
-        match Hashtbl.find_opt pos (cvar c n) with
-        | Some j -> j
-        | None -> invalid_arg "Bdd.ctx_satcount: support not included in vars"
-      in
-      let sub =
-        match Hashtbl.find_opt memo n with
-        | Some sub -> sub
-        | None ->
-          let sub = count (clow c n) (j + 1) +. count (chigh c n) (j + 1) in
-          Hashtbl.add memo n sub;
-          sub
-      in
-      sub *. Float.pow 2.0 (float_of_int (j - i))
-    end
-  in
-  count f 0
-
-let ctx_iter_sat c ~vars yield f =
-  let len = Array.length vars in
-  let assignment = Array.make len false in
-  let rec go i n =
-    if n <> bdd_false then
-      if i = len then begin
-        if n = bdd_true then yield assignment else invalid_arg "Bdd.ctx_iter_sat: support not included in vars"
-      end
-      else begin
-        (* Terminal slots hold [terminal_var], so [cvar] is the level. *)
-        let vn = cvar c n in
-        if vn = vars.(i) then begin
-          assignment.(i) <- false;
-          go (i + 1) (clow c n);
-          assignment.(i) <- true;
-          go (i + 1) (chigh c n)
-        end
-        else if vn > vars.(i) then begin
-          assignment.(i) <- false;
-          go (i + 1) n;
-          assignment.(i) <- true;
-          go (i + 1) n
-        end
-        else invalid_arg "Bdd.ctx_iter_sat: vars must be sorted and include the support"
-      end
-  in
-  go 0 f

@@ -353,117 +353,69 @@ val to_dot : ?var_name:(int -> string) -> man -> t -> string
     dashed for low (0); terminals as boxes.  [var_name] labels the
     decision nodes (default ["x<i>"]). *)
 
-(** {2 Frozen spaces and per-domain evaluation contexts}
+(** {2 Frozen snapshots and overlays}
 
     Multicore warm-query serving: {!freeze} snapshots the manager into
     an immutable value that any number of domains may read in parallel,
-    and {!eval_ctx} gives one domain a private arena for the fresh
-    nodes its queries allocate.  Under {!Sweep} freezing never
-    renumbers, so every live handle (a relation root, a cube) denotes
-    exactly the same function in the frozen space; under {!Compact}
-    the pre-freeze collection renumbers but rewrites every registered
-    root, so handles read back from their rooted homes after [freeze]
-    are equally valid against the snapshot.  Either way frozen
-    evaluation is bit-identical to the live evaluator.  The snapshot
-    is always fully resident (spilled pages are faulted in to be
-    copied), so ctx reads never touch the buffer pool or the file
-    system.
+    and {!overlay} gives one domain an ordinary manager over it.  Every
+    operation of this interface except {!gc} and {!freeze} runs on an
+    overlay, through the same kernels the solver uses.
 
-    Ownership rules: a [frozen] is immutable and freely shareable; a
-    [ctx] belongs to exactly one domain at a time and must not be used
-    concurrently.  Handles returned by ctx operations are meaningful
-    only together with that ctx (handles below the frozen base are
-    also valid against the frozen space and any other ctx over it).
-    No ctx operation writes shared state, takes a lock, or touches the
+    {!freeze} collects first.  Under {!Sweep} no handle moves; under
+    {!Compact} the collection renumbers the nodes but rewrites every
+    registered root, list and {!on_remap} hook.  Either way, handles
+    read back from their rooted homes after [freeze] returns denote the
+    same functions in the snapshot, and answers computed on an overlay
+    are bit-identical to the frozen manager's.  The snapshot is always
+    fully resident (spilled pages are faulted in to be copied), so
+    overlays never touch the buffer pool or the file system.
+
+    Ownership rules: a [frozen] is immutable and freely shareable; an
+    overlay belongs to exactly one domain at a time.  Handles an
+    overlay returns are meaningful only on that overlay, except that
+    snapshot handles are valid on every overlay of the snapshot.  No
+    overlay operation writes shared state, takes a lock, or touches the
     originating manager. *)
 
 type frozen
-(** An immutable snapshot of a manager: packed node array compacted by
-    GC, read-only unique table.
+(** An immutable snapshot of a manager: its node pages after a
+    collection and a read-only copy of its unique table.
 
     {b Lifecycle.}  A [frozen] value owns no external resources — it
-    is a handful of plain OCaml arrays.  There is no [unfreeze]:
-    releasing a snapshot is simply dropping the last reference to it
-    (and to every {!ctx} built over it, each of which retains its
-    frozen space through {!ctx_frozen}); the GC then reclaims the node
-    arrays like any other heap block.  A long-running follower that
-    hot-swaps snapshots must therefore (a) {!ctx_dispose} or drop each
-    old ctx and (b) drop the old [frozen] — the soak suite pins
-    RSS/heap stability across ≥20 such swaps. *)
+    is a handful of plain OCaml arrays.  Releasing a snapshot is simply
+    dropping the last reference to it and to every overlay built over
+    it; the GC then reclaims the node arrays like any other heap block.
+    A follower that hot-swaps snapshots drops its old overlays and the
+    old [frozen] — the soak suite pins heap stability across ≥20 such
+    swaps. *)
 
 val freeze : man -> frozen
 (** [freeze m] collects [m] (dropping garbage) and snapshots the node
-    table.  Handles that were live at freeze time remain valid frozen
-    handles; the manager itself stays fully usable afterwards, and its
-    later mutations do not affect the snapshot. *)
-
-val frozen_nvars : frozen -> int
+    table.  Handles that were live at freeze time, read back from their
+    registered roots, are valid snapshot handles; the manager itself
+    stays fully usable afterwards, and its later mutations do not
+    affect the snapshot.  Raises [Invalid_argument] on an overlay. *)
 
 val frozen_live_nodes : frozen -> int
 (** Live nodes captured by the snapshot (terminals excluded). *)
 
 val frozen_bytes : frozen -> int
 (** Heap footprint of the snapshot itself (node pages + hash buckets),
-    in bytes — always fully resident; frozen spaces never page. *)
+    in bytes — always fully resident; snapshots never page. *)
 
-type ctx
-(** A per-domain evaluation context over one frozen space: its own
-    operation cache and node arena for query-local intermediates,
-    disposed wholesale by {!ctx_reset}. *)
+val overlay : frozen -> man
+(** A fresh uncapped manager whose first arena pages are the snapshot's
+    (shared, never written) and whose own nodes start on the next page.
+    Its op cache has a fixed [2^14] entries.  {!live_nodes},
+    {!allocations} and {!table_bytes} count only its own nodes and
+    pages, so a {!Budget.t} installed with {!set_budget} bounds one
+    request's work.  {!gc} and {!freeze} raise [Invalid_argument] on an
+    overlay, since both would rewrite the shared pages. *)
 
-val eval_ctx : ?node_hint:int -> ?cache_bits:int -> frozen -> ctx
-(** [node_hint] sizes the initial arena (default 4K nodes); the arena
-    grows by doubling.  [cache_bits] sizes the ctx operation cache at
-    [2^cache_bits] stride-6 entries (default 14). *)
-
-val ctx_frozen : ctx -> frozen
-
-val ctx_reset : ctx -> unit
-(** Dispose every node allocated in the ctx since the last reset — the
-    per-request wholesale disposal the query daemon relies on.  O(ctx
-    live nodes).  Cache entries whose operands and result are all
-    frozen survive (repeated warm queries stay cached across
-    requests); entries touching disposed ctx nodes are invalidated by
-    a generation stamp. *)
-
-val ctx_dispose : ctx -> unit
-(** Eager teardown for snapshot hot-swap: {!ctx_reset}, then drop the
-    arena and unique table, leaving the ctx retaining only its (shared)
-    frozen space and a fixed-size cache.  Once every ctx over an old
-    snapshot is disposed and the [frozen] value itself is dropped, the
-    whole old space is unreachable and GC-reclaimed.  A disposed ctx
-    must not be used again: the first fresh allocation through it
-    raises [Failure]. *)
-
-val ctx_set_budget : ctx -> Budget.t option -> unit
-(** Per-ctx budget, enforced like {!set_budget}: tested on the ctx's
-    fresh-allocation path every {!budget_check_interval} allocations,
-    raising {!Limit_exceeded}.  Aborting leaves the ctx consistent;
-    {!ctx_reset} reclaims the partial work. *)
-
-val ctx_allocations : ctx -> int
-(** Total ctx-local fresh-node allocations since creation (never
-    reset; the analogue of {!allocations}). *)
-
-val ctx_live_nodes : ctx -> int
-(** Ctx-local nodes allocated since the last {!ctx_reset}. *)
-
-val ctx_cache_stats : ctx -> int * int
-(** (hits, misses) of this ctx's operation cache. *)
-
-val ctx_ithvar : ctx -> int -> t
-val ctx_nithvar : ctx -> int -> t
-val ctx_not : ctx -> t -> t
-val ctx_and : ctx -> t -> t -> t
-val ctx_or : ctx -> t -> t -> t
-val ctx_diff : ctx -> t -> t -> t
-val ctx_exist : ctx -> cube:t -> t -> t
-val ctx_relprod : ctx -> cube:t -> t -> t -> t
-val ctx_cube_of_vars : ctx -> int list -> t
-val ctx_const_value : ctx -> bits:int array -> int -> t
-
-val ctx_satcount : ctx -> vars:int array -> t -> float
-(** As {!satcount}, against the ctx's view of the space. *)
-
-val ctx_iter_sat : ctx -> vars:int array -> (bool array -> unit) -> t -> unit
-(** As {!iter_sat}, against the ctx's view of the space. *)
+val reset : man -> unit
+(** Drop every node the overlay allocated — the per-request wholesale
+    disposal the query daemon relies on.  Cache entries over snapshot
+    handles only stay warm; entries naming a dropped node are
+    invalidated.  The cost depends on the overlay's own nodes and
+    cache, never on the snapshot's size.  Raises [Invalid_argument] on
+    a plain manager. *)

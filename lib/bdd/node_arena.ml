@@ -422,4 +422,13 @@ let swap a fresh n =
   if n > 0 then a.pins.(0) <- 1;
   if a.capped then while a.resident > a.max_resident && evict_one a do () done
 
+let adopt a pages =
+  if a.capped || a.num_pages > 0 then invalid_arg "Node_arena.adopt: needs an empty uncapped arena";
+  let n = Array.length pages in
+  grow_spine a n;
+  Array.blit pages 0 a.pages 0 n;
+  a.num_pages <- n;
+  a.resident <- n;
+  a.peak_resident <- n
+
 let dispose a = close_spill a

@@ -82,9 +82,7 @@ val fault_in : t -> int -> int array
 
 val pin : t -> int -> unit
 (** Fault the page in if needed and make it ineligible for eviction
-    until the matching {!unpin}.  Pins nest. *)
-
-val unpin : t -> int -> unit
+    until the matching unpin.  Pins nest. *)
 
 val set_tail : t -> int -> unit
 (** Move the allocation-tail pin from the previous tail page to [p]:
@@ -96,6 +94,11 @@ val swap : t -> int array array -> int -> unit
     every old spill slot, re-pins the terminal page and then evicts
     back under the cap.  Used by compacting GC to install the
     level-clustered copy. *)
+
+val adopt : t -> int array array -> unit
+(** [adopt a pages] installs [pages] as the first pages of the empty,
+    uncapped arena [a].  They stay shared with their owner: the caller
+    must never write them.  Used to build a [Bdd.overlay]. *)
 
 val dispose : t -> unit
 (** Close and delete the spill file, if one was created.  The arena's

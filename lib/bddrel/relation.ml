@@ -33,10 +33,12 @@ let space r = r.sp
 let attrs r = Array.to_list r.attributes
 let arity r = Array.length r.attributes
 
-let find_attr r n =
-  match Array.find_opt (fun a -> a.attr_name = n) r.attributes with
+let attr_named attributes n =
+  match Array.find_opt (fun a -> a.attr_name = n) attributes with
   | Some a -> a
   | None -> raise Not_found
+
+let find_attr r n = attr_named r.attributes n
 
 let bdd r = !(r.root)
 
@@ -124,21 +126,63 @@ let of_tuples sp ~name attrs tuples =
   set_tuples r tuples;
   r
 
+(* --- Frozen relation values -----------------------------------------
+
+   A [frozen] is a relation's contents captured as a plain value: name,
+   attrs, root handle.  It is immutable and shareable across domains.
+   The read-only algebra below evaluates it on any manager that holds
+   its handles: the live one, or a per-domain [Bdd.overlay] of a
+   snapshot.  Results are allocated there, with no roots and no
+   disposal.  The live relations' read-only operations run through the
+   same code. *)
+
+type frozen = { fr_name : string; fr_attrs : attr array; fr_bdd : Bdd.t }
+
+let freeze r = { fr_name = r.rel_name; fr_attrs = r.attributes; fr_bdd = !(r.root) }
+
+let frozen_attrs fr = Array.to_list fr.fr_attrs
+let frozen_arity fr = Array.length fr.fr_attrs
+
+let frozen_find_attr fr n = attr_named fr.fr_attrs n
+
+let frozen_select m fr attr_name v =
+  let a = frozen_find_attr fr attr_name in
+  let dom = a.block.Space.dom in
+  if v < 0 || v >= Domain.size dom then
+    invalid_arg (Printf.sprintf "Relation.select: %d out of range for %s" v (Domain.name dom));
+  { fr with fr_bdd = Bdd.mk_and m fr.fr_bdd (Bdd.const_value m ~bits:a.block.Space.bits v) }
+
+let frozen_project m fr keep =
+  let kept = List.map (frozen_find_attr fr) keep in
+  let away =
+    List.filter (fun a -> not (List.exists (fun k -> k.attr_name = a.attr_name) kept)) (frozen_attrs fr)
+  in
+  let cube = Bdd.cube_of_vars m (List.concat_map (fun a -> Array.to_list a.block.Space.bits) away) in
+  { fr_name = fr.fr_name; fr_attrs = Array.of_list kept; fr_bdd = Bdd.exist m ~cube fr.fr_bdd }
+
+let same_attrs a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> x.attr_name = y.attr_name && x.block == y.block) a b
+
+let frozen_inter m a b =
+  if not (same_attrs a.fr_attrs b.fr_attrs) then invalid_arg "Relation.inter: schema mismatch";
+  { a with fr_bdd = Bdd.mk_and m a.fr_bdd b.fr_bdd }
+
 (* Sorted variable array covering all attributes, plus for each
    attribute and bit the index of that variable in the sorted array. *)
-let var_layout r =
-  let all = Array.concat (Array.to_list (Array.map (fun a -> a.block.Space.bits) r.attributes)) in
+let var_layout attributes =
+  let all = Array.concat (Array.to_list (Array.map (fun a -> a.block.Space.bits) attributes)) in
   let sorted = Array.copy all in
   Array.sort compare sorted;
   let pos = Hashtbl.create (Array.length sorted) in
   Array.iteri (fun i v -> Hashtbl.replace pos v i) sorted;
-  let index = Array.map (fun a -> Array.map (fun v -> Hashtbl.find pos v) a.block.Space.bits) r.attributes in
+  let index = Array.map (fun a -> Array.map (fun v -> Hashtbl.find pos v) a.block.Space.bits) attributes in
   (sorted, index)
 
-let iter_tuples r yield =
-  let sorted, index = var_layout r in
-  let n_attrs = Array.length r.attributes in
-  Bdd.iter_sat (man r) ~vars:sorted
+let frozen_iter_tuples m fr yield =
+  let sorted, index = var_layout fr.fr_attrs in
+  let n_attrs = Array.length fr.fr_attrs in
+  Bdd.iter_sat m ~vars:sorted
     (fun assignment ->
       let tuple = Array.make n_attrs 0 in
       let in_range = ref true in
@@ -152,36 +196,48 @@ let iter_tuples r yield =
         (* Assignments encoding values beyond the domain size are
            unreachable if writers respect Space.const's range check,
            but guard anyway. *)
-        if !v >= Domain.size r.attributes.(i).block.Space.dom then in_range := false
+        if !v >= Domain.size fr.fr_attrs.(i).block.Space.dom then in_range := false
       done;
       if !in_range then yield tuple)
-    !(r.root)
+    fr.fr_bdd
+
+let frozen_tuples m fr =
+  let acc = ref [] in
+  frozen_iter_tuples m fr (fun t -> acc := t :: !acc);
+  List.rev !acc
+
+let frozen_count m fr =
+  let sorted, _ = var_layout fr.fr_attrs in
+  Bdd.satcount m ~vars:sorted fr.fr_bdd
+
+(* --- Live relations' reads, through the frozen code --- *)
+
+let iter_tuples r yield = frozen_iter_tuples (man r) (freeze r) yield
 
 let fold_tuples r ~init ~f =
   let acc = ref init in
   iter_tuples r (fun t -> acc := f !acc t);
   !acc
 
-let tuples r = List.rev (fold_tuples r ~init:[] ~f:(fun acc t -> t :: acc))
-
-let count r =
-  let sorted, _ = var_layout r in
-  Bdd.satcount (man r) ~vars:sorted !(r.root)
+let tuples r = frozen_tuples (man r) (freeze r)
+let count r = frozen_count (man r) (freeze r)
 
 let count_big r =
-  let sorted, _ = var_layout r in
+  let sorted, _ = var_layout r.attributes in
   Bdd.satcount_big (man r) ~vars:sorted !(r.root)
 
 let is_empty r = !(r.root) = Bdd.bdd_false
 
-let same_schema a b =
-  Array.length a.attributes = Array.length b.attributes
-  && Array.for_all2 (fun x y -> x.attr_name = y.attr_name && x.block == y.block) a.attributes b.attributes
+let same_schema a b = same_attrs a.attributes b.attributes
+
+(* A live relation in [src]'s space holding a frozen result. *)
+let thaw src fr =
+  let r = make src.sp ~name:fr.fr_name (frozen_attrs fr) in
+  set_bdd r fr.fr_bdd;
+  r
 
 let with_bdd ?name src b =
-  let r = make src.sp ~name:(Option.value name ~default:src.rel_name) (attrs src) in
-  set_bdd r b;
-  r
+  thaw src { fr_name = Option.value name ~default:src.rel_name; fr_attrs = src.attributes; fr_bdd = b }
 
 let copy ?name r = with_bdd ?name r !(r.root)
 
@@ -197,26 +253,14 @@ let diff a b =
   if not (same_schema a b) then invalid_arg "Relation.diff: schema mismatch";
   with_bdd a (Bdd.mk_diff (man a) !(a.root) !(b.root))
 
-let inter a b =
-  if not (same_schema a b) then invalid_arg "Relation.inter: schema mismatch";
-  with_bdd a (Bdd.mk_and (man a) !(a.root) !(b.root))
+let inter a b = thaw a (frozen_inter (man a) (freeze a) (freeze b))
 
 let equal a b =
   if not (same_schema a b) then invalid_arg "Relation.equal: schema mismatch";
   !(a.root) = !(b.root)
 
-let select r attr_name v =
-  let a = find_attr r attr_name in
-  with_bdd r (Bdd.mk_and (man r) !(r.root) (Space.const r.sp a.block v))
-
-let project r keep =
-  let kept = List.map (fun n -> find_attr r n) keep in
-  let away = List.filter (fun a -> not (List.exists (fun k -> k.attr_name = a.attr_name) kept)) (attrs r) in
-  let cube = Space.cube_of_blocks r.sp (List.map (fun a -> a.block) away) in
-  let b = Bdd.exist (man r) ~cube !(r.root) in
-  let r' = make r.sp ~name:r.rel_name kept in
-  set_bdd r' b;
-  r'
+let select r attr_name v = thaw r (frozen_select (man r) (freeze r) attr_name v)
+let project r keep = thaw r (frozen_project (man r) (freeze r) keep)
 
 let project_away r names =
   List.iter (fun n -> ignore (find_attr r n)) names;
@@ -282,85 +326,3 @@ let compose a b away =
   let r = make a.sp ~name:(a.rel_name ^ "*" ^ b.rel_name) keep in
   set_bdd r (Bdd.relprod (man a) ~cube !(a.root) !(b.root));
   r
-
-(* --- Frozen relation handles ---------------------------------------
-
-   A [frozen] is a relation value against a frozen space: name, attrs,
-   root handle.  It is immutable and shareable across domains; the
-   _ctx operations below mirror the live algebra but allocate only in
-   the caller's ctx, so any number of domains can evaluate over the
-   same frozen relations with no shared-state writes and no disposal
-   bookkeeping (a ctx_reset reclaims everything at once). *)
-
-type frozen = { fr_name : string; fr_attrs : attr array; fr_bdd : Bdd.t }
-
-let freeze r = { fr_name = r.rel_name; fr_attrs = r.attributes; fr_bdd = !(r.root) }
-
-let frozen_name fr = fr.fr_name
-let frozen_attrs fr = Array.to_list fr.fr_attrs
-let frozen_arity fr = Array.length fr.fr_attrs
-let frozen_bdd fr = fr.fr_bdd
-
-let frozen_find_attr fr n =
-  match Array.find_opt (fun a -> a.attr_name = n) fr.fr_attrs with
-  | Some a -> a
-  | None -> raise Not_found
-
-let select_ctx ctx fr attr_name v =
-  let a = frozen_find_attr fr attr_name in
-  { fr with fr_bdd = Bdd.ctx_and ctx fr.fr_bdd (Space.const_ctx ctx a.block v) }
-
-let project_ctx ctx fr keep =
-  let kept = List.map (fun n -> frozen_find_attr fr n) keep in
-  let away =
-    List.filter (fun a -> not (List.exists (fun k -> k.attr_name = a.attr_name) kept)) (frozen_attrs fr)
-  in
-  let cube = Space.cube_of_blocks_ctx ctx (List.map (fun a -> a.block) away) in
-  { fr_name = fr.fr_name; fr_attrs = Array.of_list kept; fr_bdd = Bdd.ctx_exist ctx ~cube fr.fr_bdd }
-
-let inter_ctx ctx a b =
-  let same =
-    Array.length a.fr_attrs = Array.length b.fr_attrs
-    && Array.for_all2 (fun (x : attr) (y : attr) -> x.attr_name = y.attr_name && x.block == y.block) a.fr_attrs
-         b.fr_attrs
-  in
-  if not same then invalid_arg "Relation.inter_ctx: schema mismatch";
-  { a with fr_bdd = Bdd.ctx_and ctx a.fr_bdd b.fr_bdd }
-
-(* Mirror of [var_layout] over the frozen attribute array. *)
-let frozen_var_layout fr =
-  let all = Array.concat (Array.to_list (Array.map (fun a -> a.block.Space.bits) fr.fr_attrs)) in
-  let sorted = Array.copy all in
-  Array.sort compare sorted;
-  let pos = Hashtbl.create (Array.length sorted) in
-  Array.iteri (fun i v -> Hashtbl.replace pos v i) sorted;
-  let index = Array.map (fun a -> Array.map (fun v -> Hashtbl.find pos v) a.block.Space.bits) fr.fr_attrs in
-  (sorted, index)
-
-let iter_tuples_ctx ctx fr yield =
-  let sorted, index = frozen_var_layout fr in
-  let n_attrs = Array.length fr.fr_attrs in
-  Bdd.ctx_iter_sat ctx ~vars:sorted
-    (fun assignment ->
-      let tuple = Array.make n_attrs 0 in
-      let in_range = ref true in
-      for i = 0 to n_attrs - 1 do
-        let bits = index.(i) in
-        let v = ref 0 in
-        for b = Array.length bits - 1 downto 0 do
-          v := (!v * 2) lor if assignment.(bits.(b)) then 1 else 0
-        done;
-        tuple.(i) <- !v;
-        if !v >= Domain.size fr.fr_attrs.(i).block.Space.dom then in_range := false
-      done;
-      if !in_range then yield tuple)
-    fr.fr_bdd
-
-let tuples_ctx ctx fr =
-  let acc = ref [] in
-  iter_tuples_ctx ctx fr (fun t -> acc := t :: !acc);
-  List.rev !acc
-
-let count_ctx ctx fr =
-  let sorted, _ = frozen_var_layout fr in
-  Bdd.ctx_satcount ctx ~vars:sorted fr.fr_bdd

@@ -94,34 +94,33 @@ val compose : t -> t -> string list -> t
 (** [compose r1 r2 away] = [project_away (join r1 r2) away], fused via
     [Bdd.relprod]. *)
 
-(** {2 Frozen relation handles}
+(** {2 Frozen relation values}
 
-    Immutable relation values against a {!Space.frozen}: shareable
-    across domains, evaluated with the [_ctx] operations below, which
-    allocate only in the caller's {!Bdd.ctx} — no disposal needed, a
-    {!Bdd.ctx_reset} reclaims every intermediate at once. *)
+    A relation's contents captured as an immutable value, shareable
+    across domains.  The operations below evaluate it on any manager
+    that holds its handles — the relation's own, or a per-domain
+    {!Bdd.overlay} of a snapshot of it — and allocate only there: no
+    roots, no disposal ({!Bdd.reset} reclaims an overlay's
+    intermediates at once).  The live {!select}, {!project}, {!inter},
+    {!tuples} and {!count} run through them. *)
 
 type frozen
 
 val freeze : t -> frozen
-(** Capture the relation's current contents.  Take the capture {e
-    after} {!Space.freeze}: the freeze-time collection may renumber
-    handles (under {!Bdd.Compact}), and the relation's registered root
-    is rewritten in place by that collection — a capture taken
-    afterwards reads the renumbered handle, valid against the frozen
-    space; one taken before would go stale. *)
+(** Capture the relation's current contents.  To serve from a
+    {!Bdd.freeze} snapshot, capture {e after} the snapshot: the
+    freeze-time collection may renumber handles (under {!Bdd.Compact})
+    and rewrites the relation's registered root in place, so only a
+    capture taken afterwards reads the snapshot's handle. *)
 
-val frozen_name : frozen -> string
 val frozen_attrs : frozen -> attr list
 val frozen_arity : frozen -> int
-val frozen_bdd : frozen -> Bdd.t
 
 val frozen_find_attr : frozen -> string -> attr
 (** Raises [Not_found], like {!find_attr}. *)
 
-val select_ctx : Bdd.ctx -> frozen -> string -> int -> frozen
-val project_ctx : Bdd.ctx -> frozen -> string list -> frozen
-val inter_ctx : Bdd.ctx -> frozen -> frozen -> frozen
-val iter_tuples_ctx : Bdd.ctx -> frozen -> (int array -> unit) -> unit
-val tuples_ctx : Bdd.ctx -> frozen -> int array list
-val count_ctx : Bdd.ctx -> frozen -> float
+val frozen_select : Bdd.man -> frozen -> string -> int -> frozen
+val frozen_project : Bdd.man -> frozen -> string list -> frozen
+val frozen_inter : Bdd.man -> frozen -> frozen -> frozen
+val frozen_tuples : Bdd.man -> frozen -> int array list
+val frozen_count : Bdd.man -> frozen -> float

@@ -134,47 +134,3 @@ let renaming s pairs =
       pairs
   in
   Bdd.make_map s.man var_pairs
-
-let value_of_bits assignment ~offset ~width =
-  let v = ref 0 in
-  for i = width - 1 downto 0 do
-    v := (!v * 2) lor if assignment.(offset + i) then 1 else 0
-  done;
-  !v
-
-(* --- Frozen spaces --- *)
-
-type frozen = {
-  f_bdd : Bdd.frozen;
-  f_by_domain : (string * block list) list;
-  f_nvars : int;
-}
-
-let freeze s =
-  {
-    f_bdd = Bdd.freeze s.man;
-    f_by_domain = Hashtbl.fold (fun name r acc -> (name, !r) :: acc) s.by_domain [];
-    f_nvars = s.next_var;
-  }
-
-let frozen_bdd f = f.f_bdd
-let frozen_bytes f = Bdd.frozen_bytes f.f_bdd
-let frozen_num_vars f = f.f_nvars
-
-let frozen_instances f d =
-  match List.assoc_opt (Domain.name d) f.f_by_domain with
-  | Some bs -> bs
-  | None -> []
-
-let frozen_domains f =
-  let ds = List.filter_map (fun (_, bs) -> match bs with b :: _ -> Some b.dom | [] -> None) f.f_by_domain in
-  List.sort (fun a b -> compare (Domain.name a) (Domain.name b)) ds
-
-let eval_ctx ?node_hint ?cache_bits f = Bdd.eval_ctx ?node_hint ?cache_bits f.f_bdd
-
-let const_ctx ctx b v =
-  if v < 0 || v >= Domain.size b.dom then
-    invalid_arg (Printf.sprintf "Space.const_ctx: %d out of range for %s" v (Domain.name b.dom));
-  Bdd.ctx_const_value ctx ~bits:b.bits v
-
-let cube_of_blocks_ctx ctx bs = Bdd.ctx_cube_of_vars ctx (List.concat_map (fun b -> Array.to_list b.bits) bs)

@@ -97,38 +97,3 @@ val add_const : t -> src:block -> dst:block -> delta:int -> Bdd.t
 
 val renaming : t -> (block * block) list -> Bdd.varmap
 (** A variable map renaming each [(src, dst)] block pair, bitwise. *)
-
-val value_of_bits : bool array -> offset:int -> width:int -> int
-(** Decode an assignment slice (LSB first) into an element value. *)
-
-(** {2 Frozen spaces}
-
-    An immutable snapshot of the whole space — the underlying
-    {!Bdd.frozen} plus the block layout — shareable across domains for
-    parallel warm-query evaluation.  Blocks are immutable, so block
-    values taken before the freeze (e.g. inside relation attributes)
-    remain valid against the frozen space. *)
-
-type frozen
-
-val freeze : t -> frozen
-(** Snapshot the space.  The live space stays usable; its later
-    mutations do not affect the snapshot.  Handles live at freeze time
-    keep their meaning (see {!Bdd.freeze}). *)
-
-val frozen_bdd : frozen -> Bdd.frozen
-
-val frozen_bytes : frozen -> int
-(** Resident heap footprint of the snapshot (see {!Bdd.frozen_bytes}). *)
-
-val frozen_num_vars : frozen -> int
-val frozen_instances : frozen -> Domain.t -> block list
-val frozen_domains : frozen -> Domain.t list
-
-val eval_ctx : ?node_hint:int -> ?cache_bits:int -> frozen -> Bdd.ctx
-(** A fresh per-domain evaluation context over the snapshot. *)
-
-val const_ctx : Bdd.ctx -> block -> int -> Bdd.t
-(** {!const} against a ctx: minterm of one element value. *)
-
-val cube_of_blocks_ctx : Bdd.ctx -> block list -> Bdd.t

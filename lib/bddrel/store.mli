@@ -43,10 +43,6 @@ type t
 
 val format_version : int
 
-val layer_format_version : int
-(** Format of the delta-layer manifests ([layer.<n>.manifest]); the
-    chain format evolves independently of the base store format. *)
-
 val save :
   dir:string ->
   key:string ->

@@ -182,6 +182,4 @@ let to_scientific n =
   if digits <= 4 then s
   else Printf.sprintf "%ce%d" s.[0] (digits - 1)
 
-let to_float n = float_of_string (to_string n)
-
 let pp fmt n = Format.pp_print_string fmt (to_string n)

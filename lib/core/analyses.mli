@@ -78,18 +78,6 @@ val solve_cs :
   (result, Solver_error.t) Stdlib.result
 (** {!run_cs} with structured errors (see {!solve_basic}). *)
 
-val run_cs_with :
-  ?options:Datalog.Engine.options ->
-  ?query:Programs.query_suffix ->
-  Jir.Factgen.t ->
-  csize:int ->
-  iec:(int * int * int * int) list ->
-  mc:(int * int) list ->
-  result
-(** Algorithm 5 with an arbitrary context structure supplied as
-    explicit [IEC]/[mC] tuples — how alternative context abstractions
-    (e.g. {!Kcfa}) plug into the same program. *)
-
 val run_1cfa :
   ?options:Datalog.Engine.options -> ?query:Programs.query_suffix -> Jir.Factgen.t -> result * Kcfa.t
 (** Algorithm 5 under 1-CFA contexts (last call site), for the

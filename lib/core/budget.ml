@@ -31,11 +31,6 @@ let make ?max_live_nodes ?max_allocations ?max_table_bytes ?max_iterations ?time
 
 let unlimited () = make ()
 
-let is_unlimited b =
-  b.max_live_nodes = None && b.max_allocations = None && b.max_table_bytes = None && b.max_iterations = None
-  && b.deadline = None
-  && not b.cancelled
-
 let max_live_nodes b = b.max_live_nodes
 let max_allocations b = b.max_allocations
 let max_table_bytes b = b.max_table_bytes
@@ -97,5 +92,3 @@ let reason_to_string = function
   | Timeout { limit_s } -> Printf.sprintf "wall-clock timeout of %gs exceeded" limit_s
   | Iterations { limit } -> Printf.sprintf "fixpoint iteration limit of %d exceeded" limit
   | Cancelled -> "cancelled"
-
-let pp_reason fmt r = Format.pp_print_string fmt (reason_to_string r)

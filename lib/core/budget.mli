@@ -61,9 +61,6 @@ val make :
 val unlimited : unit -> t
 (** A fresh budget with no limits — still cancellable. *)
 
-val is_unlimited : t -> bool
-(** No limits set and not yet cancelled (the hook is ignored). *)
-
 val max_live_nodes : t -> int option
 val max_allocations : t -> int option
 val max_table_bytes : t -> int option
@@ -112,4 +109,3 @@ val run_hook : t -> unit
     module; the [check_*] functions call it themselves). *)
 
 val reason_to_string : reason -> string
-val pp_reason : Format.formatter -> reason -> unit

@@ -6,7 +6,6 @@ type t = {
   program : Ir.t;
   reach : bool array;
   comp : int array; (* method -> component, only meaningful if reachable *)
-  nsccs : int;
   counts_exact : Bignat.t array; (* per component *)
   counts : int array; (* clamped *)
   numbered : numbered_edge list;
@@ -75,9 +74,8 @@ let number ?(max_bits = 61) p ~edges ~roots =
       let k = counts.(comp.(e.Callgraph.caller)) in
       numbered := { ne_edge = e; ne_k = k; ne_offset = 0; ne_intra = true } :: !numbered)
     !intra;
-  { program = p; reach; comp; nsccs; counts_exact; counts; numbered = List.rev !numbered; cap; hit_cap = !hit_cap }
+  { program = p; reach; comp; counts_exact; counts; numbered = List.rev !numbered; cap; hit_cap = !hit_cap }
 
-let num_sccs t = t.nsccs
 let reachable t m = t.reach.(m)
 let scc_of_method t m = if t.reach.(m) then Some t.comp.(m) else None
 let method_contexts t m = if t.reach.(m) then t.counts.(t.comp.(m)) else 0

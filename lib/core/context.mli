@@ -29,7 +29,6 @@ val number : ?max_bits:int -> Jir.Ir.t -> edges:Callgraph.edge list -> roots:Jir
 (** [max_bits] defaults to 61 (an OCaml-int-safe stand-in for the
     paper's 63-bit limit). *)
 
-val num_sccs : t -> int
 val scc_of_method : t -> Jir.Ir.method_id -> int option
 (** [None] for methods unreachable from the roots. *)
 

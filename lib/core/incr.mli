@@ -5,7 +5,7 @@
     ones persisted by a previous run (per-relation added/removed tuple
     sets, computed as BDD diffs so the comparison scales with BDD size,
     not tuple count), seeds the engine's semi-naive delta path with
-    only the added tuples ({!Datalog.Engine.run_incremental}), and
+    only the added tuples ({!Datalog.Engine.solve_incremental}), and
     re-solves to fixpoint.  The result is bit-identical to a cold
     solve of the modified program.
 
@@ -74,7 +74,6 @@ val update :
     [Error _] carries budget violations from whichever solve ran. *)
 
 val verdict_to_string : verdict -> string
-val cold_reason_to_string : cold_reason -> string
 
 val layout_mismatch : stored:Space.t -> current:Space.t -> string option
 (** [None] when the two spaces give the same meaning to the same BDD:

@@ -21,8 +21,6 @@ let number p ~edges ~roots =
 
 let csize t = Ir.num_invokes t.program + 2
 
-let contexts_of_method t m = List.sort compare (Hashtbl.fold (fun c () acc -> c :: acc) t.method_ctxs.(m) [])
-
 let iec_tuples t =
   let out = ref [] in
   List.iter

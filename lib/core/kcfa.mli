@@ -7,8 +7,9 @@
     the distinguished context 1), so the context count is bounded by
     the number of invocation sites, but distinct call {e paths} ending
     at the same site are merged.  The result plugs into the same
-    Algorithm 5 Datalog program via {!Analyses.run_cs_with}, making
-    full-cloning vs 1-CFA a one-variable ablation. *)
+    Algorithm 5 Datalog program as explicit [IEC]/[mC] tuples
+    ({!Analyses.run_1cfa}), making full-cloning vs 1-CFA a one-variable
+    ablation. *)
 
 type t
 
@@ -23,4 +24,3 @@ val iec_tuples : t -> (int * int * int * int) list
     determined by the invocation site alone. *)
 
 val mc_tuples : t -> (int * int) list
-val contexts_of_method : t -> Jir.Ir.method_id -> int list

@@ -21,5 +21,4 @@ let status_field key =
     in
     Fun.protect ~finally:(fun () -> close_in_noerr ic) scan
 
-let rss_kb () = status_field "VmRSS"
 let peak_rss_kb () = status_field "VmHWM"

@@ -102,54 +102,11 @@ whoDunnit(c, v1, f, v2) :- store(v1, f, v2), vPC(c, v2, %S).
         heap_label heap_label;
   }
 
-(* --- Store-backed evaluation ---
-
-   The same questions answered directly from solved relations (fresh
-   from an engine or loaded back from a Bddrel.Store) with plain
-   relational algebra — no Datalog re-solve.  This is what the query
-   daemon serves: a select+project over the persisted BDD is
-   milliseconds, a cold solve is seconds.  Every intermediate relation
-   is disposed so a long-running server does not accumulate GC
-   roots. *)
-
 let combine a b =
   {
     Programs.q_relations = a.Programs.q_relations ^ b.Programs.q_relations;
     q_rules = a.Programs.q_rules ^ b.Programs.q_rules;
   }
-
-let with_disposal r f =
-  Fun.protect ~finally:(fun () -> Relation.dispose r) (fun () -> f r)
-
-(* Project the (possibly context-qualified) points-to relation down to
-   one attribute after fixing another: the shared shape of the
-   evaluators below. *)
-let select_project rel ~fix ~value ~keep =
-  with_disposal (Relation.select rel fix value) (fun sel ->
-      with_disposal (Relation.project sel keep) (fun proj ->
-          List.sort_uniq compare (List.map (fun t -> t.(0)) (Relation.tuples proj))))
-
-let points_to pt ~var = select_project pt ~fix:"variable" ~value:var ~keep:[ "heap" ]
-
-let pointed_by pt ~heap = select_project pt ~fix:"heap" ~value:heap ~keep:[ "variable" ]
-
-(* Shared heaps of two variables, computed as a BDD intersection of the
-   two projected heap sets (not a list intersection: the sets stay
-   shared-structure until the final enumeration). *)
-let alias_heaps pt ~v1 ~v2 =
-  with_disposal (Relation.select pt "variable" v1) (fun s1 ->
-      with_disposal (Relation.project s1 [ "heap" ]) (fun h1 ->
-          with_disposal (Relation.select pt "variable" v2) (fun s2 ->
-              with_disposal (Relation.project s2 [ "heap" ]) (fun h2 ->
-                  with_disposal (Relation.inter h1 h2) (fun shared ->
-                      List.sort_uniq compare (List.map (fun t -> t.(0)) (Relation.tuples shared)))))))
-
-(* Mod/ref (heap, field) pairs of one method, any context: project the
-   §5.4 [modset]/[refset] down from (context, method, heap, field). *)
-let mod_ref_sites rel ~meth =
-  with_disposal (Relation.select rel "method" meth) (fun sel ->
-      with_disposal (Relation.project sel [ "heap"; "field" ]) (fun proj ->
-          List.sort_uniq compare (List.map (fun t -> (t.(0), t.(1))) (Relation.tuples proj))))
 
 let jce_vuln ~init_method =
   {
@@ -164,29 +121,37 @@ vuln(c, i) :- IEC(c, i, _, %S), actual(i, 1, v), vPC(c, v, h), fromString(h).
         init_method;
   }
 
-(* --- Frozen-space evaluation (parallel warm queries) ---------------
+(* --- Store-backed evaluation ---
 
-   The same evaluators over frozen relation handles, parameterized by
-   a per-domain Bdd.ctx.  No disposal: every intermediate lives in the
-   ctx and is reclaimed wholesale by the caller's ctx_reset, so these
-   are safe to run from many domains at once over one frozen store. *)
+   The same questions answered directly from solved relations (fresh
+   from an engine or loaded back from a Bddrel.Store) with plain
+   relational algebra — no Datalog re-solve.  This is what the query
+   daemon serves: a select+project over the persisted BDD is
+   milliseconds, a cold solve is seconds.  Every intermediate is an
+   unrooted handle in the caller's manager: the daemon's per-request
+   [Bdd.reset] reclaims them at once. *)
 
-let select_project_ctx ctx rel ~fix ~value ~keep =
-  let sel = Relation.select_ctx ctx rel fix value in
-  let proj = Relation.project_ctx ctx sel keep in
-  List.sort_uniq compare (List.map (fun t -> t.(0)) (Relation.tuples_ctx ctx proj))
+(* Project the points-to relation down to one attribute after fixing
+   another: the shared shape of the evaluators below. *)
+let select_project m rel ~fix ~value ~keep =
+  let proj = Relation.frozen_project m (Relation.frozen_select m rel fix value) keep in
+  List.sort_uniq compare (List.map (fun t -> t.(0)) (Relation.frozen_tuples m proj))
 
-let points_to_ctx ctx pt ~var = select_project_ctx ctx pt ~fix:"variable" ~value:var ~keep:[ "heap" ]
+let points_to m pt ~var = select_project m pt ~fix:"variable" ~value:var ~keep:[ "heap" ]
 
-let pointed_by_ctx ctx pt ~heap = select_project_ctx ctx pt ~fix:"heap" ~value:heap ~keep:[ "variable" ]
+let pointed_by m pt ~heap = select_project m pt ~fix:"heap" ~value:heap ~keep:[ "variable" ]
 
-let alias_heaps_ctx ctx pt ~v1 ~v2 =
-  let h1 = Relation.project_ctx ctx (Relation.select_ctx ctx pt "variable" v1) [ "heap" ] in
-  let h2 = Relation.project_ctx ctx (Relation.select_ctx ctx pt "variable" v2) [ "heap" ] in
-  let shared = Relation.inter_ctx ctx h1 h2 in
-  List.sort_uniq compare (List.map (fun t -> t.(0)) (Relation.tuples_ctx ctx shared))
+(* Shared heaps of two variables, computed as a BDD intersection of the
+   two projected heap sets (not a list intersection: the sets stay
+   shared-structure until the final enumeration). *)
+let alias_heaps m pt ~v1 ~v2 =
+  let heaps v = Relation.frozen_project m (Relation.frozen_select m pt "variable" v) [ "heap" ] in
+  let h1 = heaps v1 in
+  let shared = Relation.frozen_inter m h1 (heaps v2) in
+  List.sort_uniq compare (List.map (fun t -> t.(0)) (Relation.frozen_tuples m shared))
 
-let mod_ref_sites_ctx ctx rel ~meth =
-  let sel = Relation.select_ctx ctx rel "method" meth in
-  let proj = Relation.project_ctx ctx sel [ "heap"; "field" ] in
-  List.sort_uniq compare (List.map (fun t -> (t.(0), t.(1))) (Relation.tuples_ctx ctx proj))
+(* Mod/ref (heap, field) pairs of one method, any context: project the
+   §5.4 [modset]/[refset] down from (context, method, heap, field). *)
+let mod_ref_sites m rel ~meth =
+  let proj = Relation.frozen_project m (Relation.frozen_select m rel "method" meth) [ "heap"; "field" ] in
+  List.sort_uniq compare (List.map (fun t -> (t.(0), t.(1))) (Relation.frozen_tuples m proj))

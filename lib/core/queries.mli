@@ -45,41 +45,31 @@ val combine : Programs.query_suffix -> Programs.query_suffix -> Programs.query_s
 
     The same questions answered directly from already-solved relations
     — fresh from an engine or loaded back from a {!Bddrel.Store} —
-    with plain relational algebra, no Datalog re-solve.  All
-    intermediate relations are disposed, so these are safe to call in
-    a long-running query server.  Results are sorted and duplicate
-    free.
+    with plain relational algebra, no Datalog re-solve.  Each runs on a
+    manager holding the relation's handles: the relation's own (pass
+    [Bddrel.Relation.freeze r]), or a per-domain {!Bdd.overlay} of a
+    frozen store, which is how the query server evaluates many
+    requests at once.  Intermediates are left unrooted in that manager
+    for its next {!Bdd.gc} or {!Bdd.reset}.  Results are sorted and
+    duplicate free.
 
     Each takes the relevant solved relation: a points-to relation with
     ["variable"] and ["heap"] attributes ([vP], or [vPC] with its
-    context attribute existentially projected per query), or a mod/ref
-    set with ["method"], ["heap"], ["field"] attributes. *)
+    context attribute projected away), or a mod/ref set with
+    ["method"], ["heap"], ["field"] attributes. *)
 
-val points_to : Bddrel.Relation.t -> var:int -> int list
+val points_to : Bdd.man -> Bddrel.Relation.frozen -> var:int -> int list
 (** Heap ordinals the variable may point to. *)
 
-val pointed_by : Bddrel.Relation.t -> heap:int -> int list
+val pointed_by : Bdd.man -> Bddrel.Relation.frozen -> heap:int -> int list
 (** Variable ordinals that may point to the heap object — the §5.1
     memory-leak direction. *)
 
-val alias_heaps : Bddrel.Relation.t -> v1:int -> v2:int -> int list
+val alias_heaps : Bdd.man -> Bddrel.Relation.frozen -> v1:int -> v2:int -> int list
 (** Heap ordinals both variables may point to; the variables alias iff
     this is non-empty.  Computed as a BDD intersection of the two
     projected heap sets. *)
 
-val mod_ref_sites : Bddrel.Relation.t -> meth:int -> (int * int) list
+val mod_ref_sites : Bdd.man -> Bddrel.Relation.frozen -> meth:int -> (int * int) list
 (** [(heap, field)] pairs the method may modify (pass [modset]) or
     read (pass [refset]), in any calling context. *)
-
-(** {2 Frozen-space evaluation}
-
-    The same four evaluators over {!Bddrel.Relation.frozen} handles,
-    parameterized by a per-domain {!Bdd.ctx}: intermediates
-    live in the ctx (no disposal — the caller's [ctx_reset] reclaims
-    them wholesale), so many domains can evaluate concurrently over
-    one frozen store.  Results are identical to the live versions. *)
-
-val points_to_ctx : Bdd.ctx -> Bddrel.Relation.frozen -> var:int -> int list
-val pointed_by_ctx : Bdd.ctx -> Bddrel.Relation.frozen -> heap:int -> int list
-val alias_heaps_ctx : Bdd.ctx -> Bddrel.Relation.frozen -> v1:int -> v2:int -> int list
-val mod_ref_sites_ctx : Bdd.ctx -> Bddrel.Relation.frozen -> meth:int -> (int * int) list

@@ -57,12 +57,11 @@ type reply = { rp_header : string; rp_body : string list }
 val handle : t -> session -> string -> reply option
 (** One client line: [None] for blank/comment lines (no reply owed);
     [stats] and [health] answered locally from the router's view of
-    the fleet (counters, per-backend breaker/probe/identity state);
-    anything else relayed through {!forward}.  Never raises. *)
-
-val forward : t -> session -> string -> reply
-(** Relay one query with retry/backoff/failover per the policy.  Never
-    raises; total failure yields an [err unavailable] reply. *)
+    the fleet (counters, per-backend breaker/probe/identity state;
+    [health] says [status ok] while at least one breaker is closed,
+    [degraded] otherwise); anything else relayed with
+    retry/backoff/failover per the policy, total failure yielding an
+    [err unavailable] reply.  Never raises. *)
 
 val probe_all : t -> unit
 (** Health-probe every backend once ([health] with
@@ -78,8 +77,3 @@ val stats_lines : t -> string list
     failovers/breaker-trips/unavailable counters, then one
     [backend <addr> state=... probe=... key=... snapshot=...] line per
     backend. *)
-
-val health_lines : t -> string list
-(** The router [health] body: [status ok] when at least one breaker is
-    closed ([degraded] otherwise), live count, and per-backend
-    lines. *)

@@ -2,17 +2,18 @@
 
    [make] projects the points-to relation once, then freezes the whole
    space: the packed node arrays and unique table become an immutable
-   snapshot ([Space.frozen] / [Relation.frozen]) that any number of
-   domains may read concurrently.  Every evaluator takes a [Bdd.ctx] —
-   a per-domain operation cache plus allocation arena for query-local
-   intermediates — so the hot apply/relprod path does no cross-domain
-   writes and takes no locks.  One ctx belongs to exactly one domain;
-   [serve_line] resets it after every request, reclaiming all
-   intermediates wholesale. *)
+   snapshot ([Bdd.frozen] / [Relation.frozen]) that any number of
+   domains may read concurrently.  Every evaluator takes a per-domain
+   [Bdd.overlay] of the snapshot — an ordinary manager with its own
+   operation cache and nodes for query-local intermediates — so the
+   hot apply/relprod path does no cross-domain writes and takes no
+   locks.  One overlay belongs to exactly one domain; [serve_line]
+   resets it after every request, reclaiming all intermediates
+   wholesale. *)
 
 type t = {
   store : Store.t;
-  fspace : Space.frozen;
+  snapshot : Bdd.frozen;
   fpt : Relation.frozen;  (* "variable", "heap"; context already projected away *)
   frels : (string * Relation.frozen) list;  (* store order *)
   vdom : Domain.t;
@@ -52,17 +53,17 @@ let make store =
         Solver_error.raise_bad_input ~file:"<store>" ~line:0
           "store has neither vPC nor vP: not a solved points-to store")
   in
-  (* Freeze the space first: the compacting GC inside [Space.freeze]
+  (* Freeze the space first: the compacting GC inside [Bdd.freeze]
      renumbers every surviving node and rewrites the relations'
      registered roots in place, so capturing [Relation.freeze] handles
      only afterwards yields handles valid against the snapshot.  After
      the freeze the live manager is never touched again. *)
-  let fspace = Space.freeze (Store.space store) in
+  let snapshot = Bdd.freeze (Space.man (Store.space store)) in
   let fpt = Relation.freeze pt_live in
   let frels = List.map (fun r -> (Relation.name r, Relation.freeze r)) (Store.relations store) in
-  { store; fspace; fpt; frels; vdom = attr_domain fpt "variable"; hdom = attr_domain fpt "heap" }
+  { store; snapshot; fpt; frels; vdom = attr_domain fpt "variable"; hdom = attr_domain fpt "heap" }
 
-let new_ctx t = Space.eval_ctx t.fspace
+let overlay t = Bdd.overlay t.snapshot
 
 (* --- answers --- *)
 
@@ -80,21 +81,21 @@ let require command t name k =
   | None ->
     err command "relation %s is not in this store (re-solve with the matching query suffix)" name
 
-let points_to t ctx v =
-  ok "points-to" (List.map (Domain.element_name t.hdom) (Queries.points_to_ctx ctx t.fpt ~var:v))
+let points_to t ov v =
+  ok "points-to" (List.map (Domain.element_name t.hdom) (Queries.points_to ov t.fpt ~var:v))
 
-let alias t ctx v1 v2 =
-  let shared = Queries.alias_heaps_ctx ctx t.fpt ~v1 ~v2 in
+let alias t ov v1 v2 =
+  let shared = Queries.alias_heaps ov t.fpt ~v1 ~v2 in
   (* The yes/no verdict is a reply line like any other: it must be part
      of the advertised row count or length-prefixed clients desync. *)
   ok "alias"
     ((if shared = [] then "no" else "yes")
     :: List.map (Domain.element_name t.hdom) shared)
 
-let leak t ctx h =
-  ok "leak" (List.map (Domain.element_name t.vdom) (Queries.pointed_by_ctx ctx t.fpt ~heap:h))
+let leak t ov h =
+  ok "leak" (List.map (Domain.element_name t.vdom) (Queries.pointed_by ov t.fpt ~heap:h))
 
-let modref t ctx m =
+let modref t ov m =
   require "modref" t "modset" @@ fun modset ->
   require "modref" t "refset" @@ fun refset ->
   let hdom = attr_domain modset "heap" and fdom = attr_domain modset "field" in
@@ -102,20 +103,20 @@ let modref t ctx m =
     Printf.sprintf "%s %s.%s" tag (Domain.element_name hdom h) (Domain.element_name fdom f)
   in
   ok "modref"
-    (List.map (row "mod") (Queries.mod_ref_sites_ctx ctx modset ~meth:m)
-    @ List.map (row "ref") (Queries.mod_ref_sites_ctx ctx refset ~meth:m))
+    (List.map (row "mod") (Queries.mod_ref_sites ov modset ~meth:m)
+    @ List.map (row "ref") (Queries.mod_ref_sites ov refset ~meth:m))
 
-let vuln t ctx =
+let vuln t ov =
   require "vuln" t "vuln" @@ fun rel ->
   let doms = List.map (fun (a : Relation.attr) -> a.Relation.block.Space.dom) (Relation.frozen_attrs rel) in
   let row tup =
     String.concat " " (List.mapi (fun i d -> Domain.element_name d tup.(i)) doms)
   in
-  ok "vuln" (List.map row (List.sort compare (Relation.tuples_ctx ctx rel)))
+  ok "vuln" (List.map row (List.sort compare (Relation.frozen_tuples ov rel)))
 
 (* Same arithmetic as [Analyses.refinement_ratios], over whichever
    refinement family (per-variable or per-clone) the store holds. *)
-let refine t ctx =
+let refine t ov =
   let family =
     if List.mem_assoc "activeC" t.frels then Some ("activeC", "multiC", "refinableC")
     else if List.mem_assoc "activeV" t.frels then Some ("activeV", "multiT", "refinable")
@@ -127,45 +128,45 @@ let refine t ctx =
     require "refine" t active @@ fun a ->
     require "refine" t multi @@ fun m ->
     require "refine" t refinable @@ fun r ->
-    let population = Relation.count_ctx ctx a in
+    let population = Relation.frozen_count ov a in
     let pct x = if population = 0.0 then 0.0 else 100.0 *. x /. population in
     ok "refine"
       [
         Printf.sprintf "population %.0f" population;
-        Printf.sprintf "multi-type %.2f%%" (pct (Relation.count_ctx ctx m));
-        Printf.sprintf "refinable %.2f%%" (pct (Relation.count_ctx ctx r));
+        Printf.sprintf "multi-type %.2f%%" (pct (Relation.frozen_count ov m));
+        Printf.sprintf "refinable %.2f%%" (pct (Relation.frozen_count ov r));
       ]
 
-let count t ctx name =
+let count t ov name =
   require "count" t name @@ fun rel ->
-  ok "count" [ Printf.sprintf "%s %.0f" name (Relation.count_ctx ctx rel) ]
+  ok "count" [ Printf.sprintf "%s %.0f" name (Relation.frozen_count ov rel) ]
 
-let relations t ctx =
+let relations t ov =
   ok "relations"
     (List.map
        (fun (name, rel) ->
-         Printf.sprintf "%s/%d %.0f" name (Relation.frozen_arity rel) (Relation.count_ctx ctx rel))
+         Printf.sprintf "%s/%d %.0f" name (Relation.frozen_arity rel) (Relation.frozen_count ov rel))
        t.frels)
 
 let split_ws line =
   String.split_on_char ' ' line |> List.concat_map (String.split_on_char '\t') |> List.filter (fun s -> s <> "")
 
-let handle t ctx line =
+let handle t ov line =
   let line = match String.index_opt line '#' with Some i -> String.sub line 0 i | None -> line in
   match split_ws line with
   | [] -> ok "" []
-  | [ "points-to"; v ] -> resolve "points-to" t.vdom "variable" v (points_to t ctx)
+  | [ "points-to"; v ] -> resolve "points-to" t.vdom "variable" v (points_to t ov)
   | [ "alias"; v1; v2 ] ->
     resolve "alias" t.vdom "variable" v1 (fun a ->
-        resolve "alias" t.vdom "variable" v2 (fun b -> alias t ctx a b))
-  | [ "leak"; h ] -> resolve "leak" t.hdom "heap" h (leak t ctx)
+        resolve "alias" t.vdom "variable" v2 (fun b -> alias t ov a b))
+  | [ "leak"; h ] -> resolve "leak" t.hdom "heap" h (leak t ov)
   | [ "modref"; m ] ->
     require "modref" t "modset" @@ fun modset ->
-    resolve "modref" (attr_domain modset "method") "method" m (modref t ctx)
-  | [ "vuln" ] -> vuln t ctx
-  | [ "refine" ] -> refine t ctx
-  | [ "count"; name ] -> count t ctx name
-  | [ "relations" ] -> relations t ctx
+    resolve "modref" (attr_domain modset "method") "method" m (modref t ov)
+  | [ "vuln" ] -> vuln t ov
+  | [ "refine" ] -> refine t ov
+  | [ "count"; name ] -> count t ov name
+  | [ "relations" ] -> relations t ov
   | [ "help" ] -> ok "help" help_lines
   | cmd :: _ -> err "error" "unknown or malformed query %S (try: help)" cmd
 
@@ -173,7 +174,7 @@ let handle t ctx line =
 
    The hardened entry point the daemon drivers use: [serve_line] wraps
    [handle] with a per-request resource budget (installed on the
-   caller's ctx for the duration of the request), an exception
+   caller's overlay for the duration of the request), an exception
    firewall, latency accounting, and the [health]/[stats] protocol
    commands.  [handle] itself stays pure so the §5 evaluation logic
    remains directly testable.
@@ -282,14 +283,13 @@ let mem_lines t =
     | Some kb -> [ Printf.sprintf "peak-rss-kib %d" kb ]
     | None -> []
   in
-  Printf.sprintf "snapshot-bytes %d" (Space.frozen_bytes t.fspace)
-  :: Printf.sprintf "snapshot-nodes %d"
-       (Bdd.frozen_live_nodes (Space.frozen_bdd t.fspace))
+  Printf.sprintf "snapshot-bytes %d" (Bdd.frozen_bytes t.snapshot)
+  :: Printf.sprintf "snapshot-nodes %d" (Bdd.frozen_live_nodes t.snapshot)
   :: rss
 
 type served = { outcome : outcome; latency_us : float; close : bool }
 
-let serve_line ?(limits = no_limits) ~stats t ctx line =
+let serve_line ?(limits = no_limits) ~stats t ov line =
   let t0 = Unix.gettimeofday () in
   let stripped = match String.index_opt line '#' with Some i -> String.sub line 0 i | None -> line in
   let outcome, close =
@@ -302,21 +302,20 @@ let serve_line ?(limits = no_limits) ~stats t ctx line =
         else
           Some
             (Budget.make ?timeout_s:limits.rq_timeout_s
-               ?max_allocations:
-                 (Option.map (fun c -> Bdd.ctx_allocations ctx + c) limits.rq_max_allocs)
-               ?max_live_nodes:(Option.map (fun c -> Bdd.ctx_live_nodes ctx + c) limits.rq_max_nodes)
+               ?max_allocations:(Option.map (fun c -> Bdd.allocations ov + c) limits.rq_max_allocs)
+               ?max_live_nodes:(Option.map (fun c -> Bdd.live_nodes ov + c) limits.rq_max_nodes)
                ())
       in
-      Bdd.ctx_set_budget ctx budget;
+      Bdd.set_budget ov budget;
       (* The reset in [finally] reclaims every query-local node at
-         once — aborted or not, the next request on this ctx starts
-         from an empty arena.  (The frozen snapshot is untouched.) *)
+         once — aborted or not, the next request on this overlay starts
+         with no nodes of its own.  (The frozen snapshot is untouched.) *)
       match
         Fun.protect
           ~finally:(fun () ->
-            Bdd.ctx_set_budget ctx None;
-            Bdd.ctx_reset ctx)
-          (fun () -> handle t ctx line)
+            Bdd.set_budget ov None;
+            Bdd.reset ov)
+          (fun () -> handle t ov line)
       with
       | o -> (o, false)
       | exception Bdd.Limit_exceeded reason ->
@@ -345,10 +344,10 @@ let serve_line ?(limits = no_limits) ~stats t ctx line =
    holding the current frozen server, with a generation counter that
    lets readers detect a swap without taking the mutex on every
    request.  [swap] installs a new server atomically; workers notice
-   the generation change at their next check, dispose their ctx over
-   the old space, and rebuild over the new one.  Once the last worker
+   the generation change at their next check, drop their overlay of
+   the old snapshot, and build one over the new.  Once the last worker
    has moved on (and the follower has dropped its own reference), the
-   old frozen space is unreachable and the GC reclaims it — see the
+   old snapshot is unreachable and the GC reclaims it — see the
    lifecycle notes on [Bdd.frozen]. *)
 
 module Source = struct
@@ -380,16 +379,16 @@ end
 
 (* --- Worker pool ----------------------------------------------------
 
-   A fixed set of OCaml domains, each owning one ctx over the shared
-   frozen space, pulling requests off a bounded queue.  [run] blocks
+   A fixed set of OCaml domains, each owning one overlay of the shared
+   snapshot, pulling requests off a bounded queue.  [run] blocks
    the calling (connection) thread until its request's worker is done,
    so backpressure propagates naturally: the queue bound caps how far
    accepted connections can run ahead of evaluation.
 
    The pool reads its server through a [Source.source]: before every
    request (and whenever poked awake while idle) a worker compares the
-   source generation with its own; on mismatch it disposes its ctx
-   over the old space and rebuilds over the new one.  A request
+   source generation with its own; on mismatch it replaces its overlay
+   with one over the new snapshot.  A request
    already executing when a swap lands completes against the old
    snapshot — the swap is between requests, never under one. *)
 
@@ -432,19 +431,18 @@ module Pool = struct
   let worker ?limits ~stats p () =
     let gen0, srv0 = Source.get p.p_source in
     let gen = ref gen0 and srv = ref srv0 in
-    let ctx = ref (new_ctx srv0) in
-    (* On a generation change: tear down this worker's arena over the
-       old space and rebuild over the new server.  Called between
+    let ov = ref (overlay srv0) in
+    (* On a generation change: drop this worker's overlay of the old
+       snapshot and build one over the new server.  Called between
        requests and from the idle wait loop (after [poke]), so an old
        snapshot is released promptly even by workers with nothing to
        do. *)
     let refresh () =
       if Source.generation p.p_source <> !gen then begin
-        Bdd.ctx_dispose !ctx;
         let g, s = Source.get p.p_source in
         gen := g;
         srv := s;
-        ctx := new_ctx s
+        ov := overlay s
       end
     in
     let rec loop () =
@@ -459,7 +457,7 @@ module Pool = struct
         Condition.signal p.p_can_push;
         Mutex.unlock p.p_mutex;
         refresh ();
-        (match serve_line ?limits ~stats !srv !ctx job.j_line with
+        (match serve_line ?limits ~stats !srv !ov job.j_line with
         | result -> finish job result
         | exception e ->
           finish job

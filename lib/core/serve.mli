@@ -5,10 +5,11 @@
     questions with {!Queries} relational algebra only — no Datalog
     engine, no re-solve.  At {!make} time the solved space is
     {e frozen}: an immutable snapshot any number of OCaml domains can
-    read concurrently.  Each evaluation runs against a per-domain
-    {!Bdd.ctx} (operation cache + arena for query-local nodes), so a
-    {!Pool} of worker domains serves queries genuinely in parallel
-    with no locks on the evaluation path.
+    read concurrently.  Each evaluation runs on a per-domain
+    {!Bdd.overlay} of the snapshot (its own operation cache and nodes
+    for query-local intermediates), so a {!Pool} of worker domains
+    serves queries genuinely in parallel with no locks on the
+    evaluation path.
 
     Protocol (whitespace-separated tokens, one query per line):
 
@@ -39,9 +40,10 @@ val make : Bddrel.Store.t -> t
 
 val store : t -> Bddrel.Store.t
 
-val new_ctx : t -> Bdd.ctx
-(** A fresh evaluation context over the frozen space.  One ctx belongs
-    to exactly one domain at a time; make one per worker. *)
+val overlay : t -> Bdd.man
+(** A fresh {!Bdd.overlay} of the frozen space to evaluate on.  One
+    overlay belongs to exactly one domain at a time; make one per
+    worker. *)
 
 type outcome = {
   ok : bool;  (** false: parse/lookup error, [lines] is the message *)
@@ -50,15 +52,14 @@ type outcome = {
   count : int;  (** number of result rows ([0] when [ok] is false) *)
 }
 
-val handle : t -> Bdd.ctx -> string -> outcome
-(** Evaluate one protocol line in the given ctx.  Never raises on bad
-    input — unknown commands, unknown element names, and missing
+val handle : t -> Bdd.man -> string -> outcome
+(** Evaluate one protocol line on the given overlay.  Never raises on
+    bad input — unknown commands, unknown element names, and missing
     stored relations come back as [ok = false] with an explanatory
     message.  Blank lines and [#] comments yield an empty successful
-    outcome.  Intermediates accumulate in the ctx; the caller decides
-    when to {!Bdd.ctx_reset} ({!serve_line} does it per request). *)
-
-val help_lines : string list
+    outcome.  Intermediates accumulate in the overlay; the caller
+    decides when to {!Bdd.reset} ({!serve_line} does it per
+    request). *)
 
 (** {2 Request isolation and daemon lifecycle}
 
@@ -72,8 +73,8 @@ type limits = {
   rq_timeout_s : float option;  (** wall-clock seconds per request *)
   rq_max_allocs : int option;
       (** fresh BDD node allocations one request may make (enforced on
-          the worker's ctx at its amortized check sites) *)
-  rq_max_nodes : int option;  (** ctx live-node growth one request may cause *)
+          the worker's overlay at its amortized check sites) *)
+  rq_max_nodes : int option;  (** overlay live-node growth one request may cause *)
 }
 
 val no_limits : limits
@@ -110,26 +111,26 @@ type served = {
           connection (the daemon itself lives on) *)
 }
 
-val serve_line : ?limits:limits -> stats:server_stats -> t -> Bdd.ctx -> string -> served
-(** Evaluate one request under isolation, in the caller's ctx:
+val serve_line : ?limits:limits -> stats:server_stats -> t -> Bdd.man -> string -> served
+(** Evaluate one request under isolation, on the caller's overlay:
 
     - [health] / [stats] are answered from [stats] without touching
       the store;
     - any other line runs through {!handle} with a fresh
-      {!Budget.t} (from [limits], resolved against the ctx's current
-      counters) installed on the ctx — exceeding it yields an
-      [err budget] outcome;
+      {!Budget.t} (from [limits], resolved against the overlay's
+      current counters) installed on the overlay — exceeding it yields
+      an [err budget] outcome;
     - a structured loader error yields [err error];
     - any other exception is the firewall case: [err internal] with
       [close = true].
 
-    Whatever the outcome, the ctx is reset afterwards: every
-    query-local node is reclaimed wholesale and the next request on
-    this ctx starts from an empty arena.  Latency and outcome counters
-    are recorded into [stats].  Never raises.
+    Whatever the outcome, the overlay is {!Bdd.reset} afterwards:
+    every query-local node is reclaimed wholesale and the next request
+    starts with no nodes of its own.  Latency and outcome counters are
+    recorded into [stats].  Never raises.
 
     Determinism: over one frozen space, a given query sequence on a
-    fresh ctx is fully deterministic — allocation trajectory, cache
+    fresh overlay is fully deterministic — allocation trajectory, cache
     behaviour, and budget-kill messages included — which is what makes
     parallel answers bit-comparable to a single-threaded run. *)
 
@@ -141,7 +142,7 @@ val serve_line : ?limits:limits -> stats:server_stats -> t -> Bdd.ctx -> string 
     calls after loading and freezing a new snapshot; in-flight
     requests finish against the old server, every later request runs
     against the new one, and the old frozen space is GC-reclaimed once
-    the last worker has rebuilt its ctx (see {!Bdd.ctx_dispose}). *)
+    the last worker has replaced its overlay (see {!Bdd.frozen}). *)
 module Source : sig
   type source
 
@@ -162,22 +163,22 @@ end
 
 (** {2 Worker pool}
 
-    A fixed set of OCaml domains, each owning one ctx over the shared
+    A fixed set of OCaml domains, each owning one overlay of the shared
     frozen space, pulling requests off a bounded queue.  Connection
     threads call {!Pool.run} and block until their answer is ready, so
     the queue bound is natural backpressure.
 
     Workers read the server through a {!Source.source}: before each
     request (and when {!Pool.poke}d while idle) they compare
-    generations and, on a swap, dispose their old-space ctx and
-    rebuild over the new server — the hot-swap is always between
-    requests, never under one. *)
+    generations and, on a swap, replace their overlay with one over the
+    new server — the hot-swap is always between requests, never under
+    one. *)
 module Pool : sig
   type pool
 
   val create : ?limits:limits -> stats:server_stats -> workers:int -> Source.source -> pool
-  (** Spawn [workers] (at least 1) domains, each with its own ctx over
-      the source's current server.  The queue holds at most
+  (** Spawn [workers] (at least 1) domains, each with its own overlay
+      of the source's current server.  The queue holds at most
       [max 16 (4 * workers)] pending requests. *)
 
   val workers : pool -> int

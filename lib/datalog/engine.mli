@@ -4,7 +4,7 @@
     The pipeline is split in three (§2.4 of the paper):
     + {!Ralg.lower}: Datalog -> relational-algebra IR;
     + {!Ralg.optimize}: separable [plan -> plan] passes, toggled from
-      {!options} (see {!toggles_of_options});
+      {!options};
     + this module: compile each plan's sources/constraints/head to BDD
       pipelines and run the stratified (semi-naive) fixpoint.
 
@@ -58,10 +58,6 @@ type options = {
 }
 
 val default_options : options
-
-val toggles_of_options : options -> Ralg.toggles
-(** The pass toggles an engine with these options hands to
-    {!Ralg.optimize}. *)
 
 type t
 
@@ -148,7 +144,7 @@ val input_relations : t -> Relation.t list
 val negated_relations : t -> string list
 (** Names of relations some optimized plan reads under negation
     (subtracts).  Additions to these can {e retract} derived facts, so
-    {!run_incremental}'s additions-only re-seeding is unsound when any
+    {!solve_incremental}'s additions-only re-seeding is unsound when any
     of them changed: the driver must fall back to a cold solve. *)
 
 val ir_plans : t -> (Ralg.plan list * Ralg.plan list) list
@@ -169,7 +165,14 @@ val run : t -> stats
     exact fixpoint.  Raises {!Bdd.Limit_exceeded} when the installed
     budget is violated. *)
 
-val run_incremental : t -> changed:(string * Bdd.t) list -> stats
+val solve : t -> (stats, Solver_error.t) result
+(** {!run} with structured errors instead of exceptions:
+    [Error (Budget_exhausted _)] when the budget is violated (carrying
+    the reason, fixpoint rounds completed, and live node count at
+    abort), [Error (Internal _)] for {!Engine_error}.  Other exceptions
+    propagate. *)
+
+val solve_incremental : t -> changed:(string * Bdd.t) list -> (stats, Solver_error.t) result
 (** Incremental re-solve after additions to already-solved relations.
 
     Precondition: every relation holds a {e sound under-approximation}
@@ -189,18 +192,7 @@ val run_incremental : t -> changed:(string * Bdd.t) list -> stats
     stratum, and a small edit costs time proportional to what it
     dirties.  Produces the exact fixpoint of the monotone program on
     the new inputs (identical to a cold {!run}).  Falls back to a full
-    {!run} when [semi_naive] is off.  Raises {!Bdd.Limit_exceeded} on
-    budget violation, like {!run}. *)
-
-val solve : t -> (stats, Solver_error.t) result
-(** {!run} with structured errors instead of exceptions:
-    [Error (Budget_exhausted _)] when the budget is violated (carrying
-    the reason, fixpoint rounds completed, and live node count at
-    abort), [Error (Internal _)] for {!Engine_error}.  Other exceptions
-    propagate. *)
-
-val solve_incremental : t -> changed:(string * Bdd.t) list -> (stats, Solver_error.t) result
-(** {!run_incremental} with the same structured-error wrapping as
+    {!run} when [semi_naive] is off.  Errors are structured as in
     {!solve}. *)
 
 (** {2 Fixpoint certification}

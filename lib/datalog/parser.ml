@@ -176,7 +176,3 @@ let parse ?(file = "<datalog>") src =
   section st "RULES";
   let rules = rules_until_eof st in
   { Ast.domains = List.rev !domains; var_order = !var_order; relations = List.rev !relations; rules }
-
-let parse_rules ?(file = "<datalog>") src =
-  let st = { toks = Array.of_list (Lexer.tokens src); file; pos = 0 } in
-  rules_until_eof st

@@ -27,7 +27,3 @@ val parse : ?file:string -> string -> Ast.program
 (** Raises {!Parse_error} or {!Lexer.Lex_error}.  [file] (default
     ["<datalog>"]) is recorded in every rule's {!Ast.pos} so
     diagnostics and [explain] can report [file:line]. *)
-
-val parse_rules : ?file:string -> string -> Ast.rule list
-(** Parse a bare RULES body (no section headers) — convenient for
-    embedding query snippets, as in §5 of the paper. *)

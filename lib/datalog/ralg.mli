@@ -16,8 +16,7 @@
       duplicate-variable columns ({!Cdup});
     - {e exist}/project away dead columns ([quantify] lists);
     - {e rename} storage instances to the rule binding (implicit in the
-      per-column storage-vs-{!plan.binding} mismatch — see
-      {!rename_stats});
+      per-column storage-vs-{!plan.binding} mismatch);
     - {e relprod}/join ({!Join}), {e diff} ({!Subtract}), constraint
       application ({!Constrain});
     - {e union-into-head} ({!head}). *)
@@ -122,28 +121,20 @@ val pass_list : toggles -> stratum_preds:string list -> pass list
     the rule's stratum (semi-naive rewrites joins against them). *)
 
 val optimize : Resolve.t -> ?toggles:toggles -> stratum_preds:string list -> plan -> plan
-(** Apply the enabled passes in order, then {!check_plan} the result. *)
-
-(** {2 Validation and inspection} *)
-
-val check_plan : Resolve.t -> plan -> unit
-(** Structural invariants: binding covers every variable and is
+(** Apply the enabled passes in order, then check the result's
+    structural invariants: binding covers every variable and is
     injective per domain; column arities match declarations; [Cdup]
     back-references hit a [Cvar]; no wildcard in the head; quantified
     variables are exactly the non-head variables, each quantified once
     and never used by a later step; [deltas] index {!Join} steps.
     Raises {!Plan_error}. *)
 
+(** {2 Inspection} *)
+
 val instance_demand : Resolve.t -> plan list -> (string, int) Hashtbl.t
 (** Physical instances needed per domain: max over storage layouts of
     all declared relations and the bindings of the given plans
     (at least 1 per domain). *)
-
-val rename_stats : Resolve.t -> plan -> int * int
-(** (renamed column positions, replace operations): a source or head
-    column whose storage instance differs from its variable's binding
-    costs one renamed position; each source (and the head) with at
-    least one renamed position costs one [Bdd.replace]. *)
 
 val pp_plan : Resolve.t -> Format.formatter -> plan -> unit
 (** Human-readable plan: the rule with its source position, the

@@ -68,14 +68,3 @@ let strata (p : Ast.program) =
       else
         Some { preds = List.map (fun v -> names.(v)) members.(c); once_rules = List.rev once; loop_rules = List.rev loop })
     (List.init ncomps (fun c -> ncomps - 1 - c))
-
-let is_recursive (p : Ast.program) (r : Ast.rule) =
-  let _, idx, g, _ = dependency_graph p in
-  let comp, _ = Graphutil.scc g in
-  let c = comp.(idx r.Ast.head.Ast.pred) in
-  List.exists
-    (fun lit ->
-      match lit with
-      | Ast.Pos a -> comp.(idx a.Ast.pred) = c
-      | Ast.Neg _ | Ast.Cmp _ -> false)
-    r.Ast.body

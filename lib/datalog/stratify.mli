@@ -19,5 +19,3 @@ exception Not_stratified of string
 val strata : Ast.program -> stratum list
 (** Strata in evaluation order.  Raises {!Not_stratified} when a
     negation occurs inside a recursive component. *)
-
-val is_recursive : Ast.program -> Ast.rule -> bool

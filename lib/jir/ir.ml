@@ -342,7 +342,6 @@ let iter_methods t f = table_iter t.methods f
 let iter_fields t f = table_iter t.fields f
 let iter_vars t f = table_iter t.vars f
 let iter_heaps t f = table_iter t.heaps f
-let iter_invokes t f = table_iter t.invokes f
 
 let stmt_count t =
   let n = ref 0 in

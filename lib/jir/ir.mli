@@ -202,7 +202,6 @@ val iter_methods : t -> (jmethod -> unit) -> unit
 val iter_fields : t -> (jfield -> unit) -> unit
 val iter_vars : t -> (jvar -> unit) -> unit
 val iter_heaps : t -> (heap_site -> unit) -> unit
-val iter_invokes : t -> (invoke_site -> unit) -> unit
 
 val stmt_count : t -> int
 (** Total statements — the stand-in for Figure 3's bytecode counts. *)

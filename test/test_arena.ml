@@ -155,13 +155,13 @@ let test_freeze_capped () =
   let live = Array.map sorted_tuples capped.rels in
   (* Space first, relations after: the freeze-time compaction
      renumbers, rewriting the registered roots in place. *)
-  let fz = Space.freeze capped.sp in
+  let fz = Bdd.freeze capped.man in
   let frels = Array.map Relation.freeze capped.rels in
-  Alcotest.(check bool) "frozen snapshot has bytes" true (Space.frozen_bytes fz > 0);
-  let ctx = Space.eval_ctx fz in
+  Alcotest.(check bool) "frozen snapshot has bytes" true (Bdd.frozen_bytes fz > 0);
+  let ov = Bdd.overlay fz in
   Array.iteri
     (fun k fr ->
-      let tuples = List.sort compare (List.map Array.to_list (Relation.tuples_ctx ctx fr)) in
+      let tuples = List.sort compare (List.map Array.to_list (Relation.frozen_tuples ov fr)) in
       Alcotest.(check (list (list int))) (Printf.sprintf "frozen rel %d" k) live.(k) tuples)
     frels;
   check_sides "live relations undisturbed by freeze" flat capped

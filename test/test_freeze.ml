@@ -1,21 +1,22 @@
-(* Differential unit suite for [Bdd.freeze] / [Bdd.eval_ctx]: the
-   frozen snapshot plus per-domain evaluation contexts that back the
-   parallel warm-query daemon.
+(* Differential unit suite for [Bdd.freeze] / [Bdd.overlay]: the frozen
+   snapshot plus the per-domain overlays that back the parallel
+   warm-query daemon.
 
-   Ground truth is the *live* manager: every ctx operation is mirrored
-   by the corresponding live kernel and both results are compared as
-   explicit satisfying-assignment sets (14 variables, so full
-   enumeration is cheap).  Covered:
+   Ground truth is the plain manager the snapshot was taken from: the
+   same op sequence runs on it and on overlays, and results are
+   compared as explicit satisfying-assignment sets (14 variables, so
+   full enumeration is cheap).  Covered:
 
-   - frozen handles evaluate identically before and after the live
+   - snapshot handles evaluate identically before and after the plain
      manager is mutated and collected (snapshot isolation);
-   - a long random op sequence (and/or/diff/not/exist/relprod) in a
-     ctx matches the live kernels, across [ctx_reset]s, with the
-     sequence replayed twice to pin determinism;
-   - >= 3 ctxs over one frozen space evaluate the same op sequence
-     concurrently (one domain each) and agree bit-for-bit;
-   - [ctx_satcount] / [ctx_const_value] / [ctx_cube_of_vars]
-     differentials, and the per-ctx budget kill + recovery. *)
+   - a long random op sequence (and/or/diff/not/exist/relprod) on an
+     overlay matches the plain manager across [reset]s, replayed on a
+     fresh overlay to pin determinism; cache entries over snapshot
+     handles survive a reset, and [gc]/[freeze] refuse an overlay;
+   - 4 overlays of one snapshot run the same op sequence concurrently
+     (one domain each) and agree bit-for-bit;
+   - satcount / const_value differentials, and the per-overlay budget
+     kill + recovery. *)
 
 let nvars = 14
 let all_vars = Array.init nvars Fun.id
@@ -26,14 +27,9 @@ let mask_of bits =
   Array.iteri (fun i b -> if b then m := !m lor (1 lsl i)) bits;
   !m
 
-let sats_live man f =
+let sats man f =
   let acc = ref [] in
   Bdd.iter_sat man ~vars:all_vars (fun bits -> acc := mask_of bits :: !acc) f;
-  List.sort compare !acc
-
-let sats_ctx ctx f =
-  let acc = ref [] in
-  Bdd.ctx_iter_sat ctx ~vars:all_vars (fun bits -> acc := mask_of bits :: !acc) f;
   List.sort compare !acc
 
 (* A pool of rooted BDDs over a fresh manager: all literals plus
@@ -72,15 +68,14 @@ let test_frozen_matches_live () =
   for _ = 1 to 50 do
     ignore (Bdd.mk_and man pool.(Random.State.int rng (Array.length pool)) (Bdd.ithvar man 0))
   done;
-  let reference = Array.map (sats_live man) pool in
+  let reference = Array.map (sats man) pool in
   let fz = Bdd.freeze man in
-  Alcotest.(check int) "frozen nvars" nvars (Bdd.frozen_nvars fz);
   Alcotest.(check bool) "frozen live nodes positive" true (Bdd.frozen_live_nodes fz > 0);
-  let ctx = Bdd.eval_ctx fz in
+  let ov = Bdd.overlay fz in
   Array.iteri
-    (fun i f -> Alcotest.(check (list int)) (Printf.sprintf "pool %d via ctx" i) reference.(i) (sats_ctx ctx f))
+    (fun i f -> Alcotest.(check (list int)) (Printf.sprintf "pool %d via overlay" i) reference.(i) (sats ov f))
     pool;
-  (* Mutate and collect the live manager: the snapshot must not move. *)
+  (* Mutate and collect the plain manager: the snapshot must not move. *)
   for _ = 1 to 200 do
     ignore
       (Bdd.mk_or man
@@ -91,18 +86,18 @@ let test_frozen_matches_live () =
   Array.iteri
     (fun i f ->
       Alcotest.(check (list int))
-        (Printf.sprintf "pool %d via ctx after live churn+gc" i)
-        reference.(i) (sats_ctx ctx f))
+        (Printf.sprintf "pool %d via overlay after churn+gc" i)
+        reference.(i) (sats ov f))
     pool;
-  (* And the live handles still answer the same too (roots held). *)
+  (* And the plain handles still answer the same too (roots held). *)
   Array.iteri
-    (fun i f -> Alcotest.(check (list int)) (Printf.sprintf "pool %d live" i) reference.(i) (sats_live man f))
+    (fun i f -> Alcotest.(check (list int)) (Printf.sprintf "pool %d live" i) reference.(i) (sats man f))
     pool
 
-(* --- random op differential, live kernels as oracle ------------------ *)
+(* --- random op differential, plain manager as oracle ----------------- *)
 
-(* One op described abstractly so it can be interpreted against the
-   live manager, a ctx, or several ctxs in different domains. *)
+(* One op described abstractly so the same sequence can run on the
+   plain manager and on overlays in different domains. *)
 type op =
   | Op2 of int * int * int (* kernel 0=and 1=or 2=diff, operand indices *)
   | Op_not of int
@@ -125,12 +120,11 @@ let random_ops rng pool_len count =
       | 4 -> Op_exist (pick (), cube ())
       | _ -> Op_relprod (pick (), pick (), cube ()))
 
-let run_ops_live man pool ops =
-  let results = ref [] in
-  Bdd.add_root_fn man (fun () -> !results);
+(* Run [ops] in order on [man]; each result's satisfying set. *)
+let run_ops man pool ops =
   let vals = ref (Array.to_list pool) in
   let get i = List.nth !vals i in
-  List.iter
+  List.map
     (fun op ->
       let f =
         match op with
@@ -141,129 +135,107 @@ let run_ops_live man pool ops =
         | Op_exist (i, vs) -> Bdd.exist man ~cube:(Bdd.cube_of_vars man vs) (get i)
         | Op_relprod (i, j, vs) -> Bdd.relprod man ~cube:(Bdd.cube_of_vars man vs) (get i) (get j)
       in
-      results := f :: !results;
-      vals := !vals @ [ f ])
-    ops;
-  List.map (sats_live man) (List.rev !results)
+      vals := !vals @ [ f ];
+      sats man f)
+    ops
 
-let run_ops_ctx ctx pool ops =
-  let vals = ref (Array.to_list pool) in
-  let get i = List.nth !vals i in
-  let sats = ref [] in
-  List.iter
-    (fun op ->
-      let f =
-        match op with
-        | Op2 (0, i, j) -> Bdd.ctx_and ctx (get i) (get j)
-        | Op2 (1, i, j) -> Bdd.ctx_or ctx (get i) (get j)
-        | Op2 (_, i, j) -> Bdd.ctx_diff ctx (get i) (get j)
-        | Op_not i -> Bdd.ctx_not ctx (get i)
-        | Op_exist (i, vs) -> Bdd.ctx_exist ctx ~cube:(Bdd.ctx_cube_of_vars ctx vs) (get i)
-        | Op_relprod (i, j, vs) ->
-          Bdd.ctx_relprod ctx ~cube:(Bdd.ctx_cube_of_vars ctx vs) (get i) (get j)
-      in
-      sats := sats_ctx ctx f :: !sats;
-      vals := !vals @ [ f ])
-    ops;
-  List.rev !sats
-
-let test_ctx_differential () =
+let test_overlay_differential () =
   let rng, man, pool = setup 0xD1FF in
+  let x0 = Bdd.ithvar man 0 and x1 = Bdd.ithvar man 1 in
+  let conj = ref (Bdd.mk_and man x0 x1) in
+  Bdd.add_root man conj;
   let fz = Bdd.freeze man in
-  let ctx = Bdd.eval_ctx fz in
-  (* Three rounds against the live oracle, resetting the ctx between
-     rounds: every round restarts from frozen handles only, so reset
-     correctness (dead arena, swept cache) is on the line each time. *)
+  let ov = Bdd.overlay fz in
+  (* Three rounds against the plain oracle, resetting the overlay
+     between rounds: every round restarts from snapshot handles only,
+     so reset correctness (dropped nodes, swept cache) is on the line
+     each time. *)
   for round = 1 to 3 do
     let ops = random_ops rng (Array.length pool) 70 in
-    let live = run_ops_live man pool ops in
-    let via_ctx = run_ops_ctx ctx pool ops in
+    let expect = run_ops man pool ops in
+    let got = run_ops ov pool ops in
     List.iteri
-      (fun i (l, c) ->
-        Alcotest.(check (list int)) (Printf.sprintf "round %d op %d" round i) l c)
-      (List.combine live via_ctx);
-    (* Determinism: replaying the identical sequence on a fresh ctx
-       reproduces the same answers. *)
-    let fresh = Bdd.eval_ctx fz in
+      (fun i (l, c) -> Alcotest.(check (list int)) (Printf.sprintf "round %d op %d" round i) l c)
+      (List.combine expect got);
     Alcotest.(check bool)
-      (Printf.sprintf "round %d replay on fresh ctx identical" round)
+      (Printf.sprintf "round %d replay on fresh overlay identical" round)
       true
-      (run_ops_ctx fresh pool ops = via_ctx);
-    Bdd.ctx_reset ctx
+      (run_ops (Bdd.overlay fz) pool ops = got);
+    Bdd.reset ov
   done;
-  Alcotest.(check int) "reset leaves no ctx-local nodes" 0 (Bdd.ctx_live_nodes ctx)
+  Alcotest.(check int) "reset leaves no own nodes" 0 (Bdd.live_nodes ov);
+  (* A query over snapshot handles with a snapshot result is cached for
+     good: after a reset, repeating it is one hit and no miss. *)
+  Alcotest.(check int) "conjunction found in the snapshot" (!conj :> int) (Bdd.mk_and ov x0 x1 :> int);
+  Bdd.reset ov;
+  let h0, m0 = Bdd.cache_stats ov in
+  ignore (Bdd.mk_and ov x0 x1);
+  let h1, m1 = Bdd.cache_stats ov in
+  Alcotest.(check (pair int int)) "repeat after reset hits the cache" (h0 + 1, m0) (h1, m1);
+  Alcotest.check_raises "gc refuses an overlay" (Invalid_argument "Bdd.gc: not on an overlay") (fun () -> Bdd.gc ov);
+  Alcotest.check_raises "freeze refuses an overlay" (Invalid_argument "Bdd.freeze: not on an overlay") (fun () ->
+      ignore (Bdd.freeze ov))
 
-(* --- concurrent ctxs -------------------------------------------------- *)
+(* --- concurrent overlays ---------------------------------------------- *)
 
-let test_concurrent_ctxs () =
+let test_concurrent_overlays () =
   let rng, man, pool = setup 0xC0C0 in
   let fz = Bdd.freeze man in
   let ops = random_ops rng (Array.length pool) 60 in
-  let reference = run_ops_live man pool ops in
-  let n_ctxs = 4 in
-  let domains =
-    List.init n_ctxs (fun _ ->
-        Stdlib.Domain.spawn (fun () ->
-            let ctx = Bdd.eval_ctx fz in
-            run_ops_ctx ctx pool ops))
-  in
-  let transcripts = List.map Stdlib.Domain.join domains in
+  let reference = run_ops man pool ops in
+  let domains = List.init 4 (fun _ -> Stdlib.Domain.spawn (fun () -> run_ops (Bdd.overlay fz) pool ops)) in
   List.iteri
     (fun d transcript ->
-      Alcotest.(check bool) (Printf.sprintf "ctx %d agrees with live oracle" d) true (transcript = reference))
-    transcripts
+      Alcotest.(check bool) (Printf.sprintf "overlay %d agrees with plain oracle" d) true (transcript = reference))
+    (List.map Stdlib.Domain.join domains)
 
 (* --- counting, constants, budget ------------------------------------- *)
 
-let test_ctx_counting_and_budget () =
-  let rng, man, pool = setup ~extra:40 0x5A7C0 in
-  let fz = Bdd.freeze man in
-  let ctx = Bdd.eval_ctx fz in
+let test_counting_and_budget () =
+  let _, man, pool = setup ~extra:40 0x5A7C0 in
+  let ov = Bdd.overlay (Bdd.freeze man) in
   Array.iteri
     (fun i f ->
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "satcount pool %d" i)
         (Bdd.satcount man ~vars:all_vars f)
-        (Bdd.ctx_satcount ctx ~vars:all_vars f))
+        (Bdd.satcount ov ~vars:all_vars f))
     pool;
-  (* const_value over a random 6-bit block agrees with the live one. *)
   let bits = Array.init 6 (fun i -> 2 * i) in
   for v = 0 to 63 do
-    ignore (Random.State.int rng 2);
     Alcotest.(check (list int))
       (Printf.sprintf "const_value %d" v)
-      (sats_live man (Bdd.const_value man ~bits v))
-      (sats_ctx ctx (Bdd.ctx_const_value ctx ~bits v))
+      (sats man (Bdd.const_value man ~bits v))
+      (sats ov (Bdd.const_value ov ~bits v))
   done;
-  (* Budget: a cap resolved against the ctx's counters kills a fresh
-     build at the amortized check site; after reset + uncapping the
-     same build succeeds, from a clean arena. *)
-  let build c =
-    (* A deliberately wide disjunction of two-block value pairs:
-       thousands of fresh intermediate nodes, enough to cross the
-       amortized budget-check interval several times. *)
+  (* Budget: a cap resolved against the overlay's counters kills a
+     fresh build at the amortized check site; after reset + uncapping
+     the same build succeeds.  A build logs more cache stores than the
+     reset log holds, so the next reset sweeps the whole cache, and a
+     different build afterwards must not see the old one's entries. *)
+  let build ?(mult = 2654435761) m =
+    (* ~3k distinct mixed 14-bit points: the growing union keeps
+       allocating, crossing the budget-check interval several times. *)
     let evens = Array.init 7 (fun k -> 2 * k) and odds = Array.init 7 (fun k -> (2 * k) + 1) in
     let acc = ref Bdd.bdd_false in
     for i = 0 to 2999 do
-      (* A mixed 14-bit value per step: ~3k distinct points, so the
-         growing union keeps allocating instead of cache-hitting. *)
-      let v = i * 2654435761 land 16383 in
-      let pair =
-        Bdd.ctx_and c
-          (Bdd.ctx_const_value c ~bits:evens (v land 127))
-          (Bdd.ctx_const_value c ~bits:odds (v lsr 7))
-      in
-      acc := Bdd.ctx_or c !acc pair
+      let v = i * mult land 16383 in
+      let pair = Bdd.mk_and m (Bdd.const_value m ~bits:evens (v land 127)) (Bdd.const_value m ~bits:odds (v lsr 7)) in
+      acc := Bdd.mk_or m !acc pair
     done;
     !acc
   in
-  Bdd.ctx_set_budget ctx (Some (Budget.make ~max_allocations:(Bdd.ctx_allocations ctx + 8) ()));
-  let killed = match build ctx with _ -> false | exception Bdd.Limit_exceeded _ -> true in
-  Alcotest.(check bool) "tight ctx budget kills the build" true killed;
-  Bdd.ctx_set_budget ctx None;
-  Bdd.ctx_reset ctx;
-  let full = build ctx in
-  Alcotest.(check bool) "recovered build is non-trivial" true (Bdd.ctx_satcount ctx ~vars:all_vars full > 0.0)
+  Bdd.set_budget ov (Some (Budget.make ~max_allocations:(Bdd.allocations ov + 8) ()));
+  let killed = match build ov with _ -> false | exception Bdd.Limit_exceeded _ -> true in
+  Alcotest.(check bool) "tight overlay budget kills the build" true killed;
+  Bdd.set_budget ov None;
+  Bdd.reset ov;
+  Alcotest.(check (float 0.0)) "recovered build matches the plain one"
+    (Bdd.satcount man ~vars:all_vars (build man))
+    (Bdd.satcount ov ~vars:all_vars (build ov));
+  Bdd.reset ov;
+  let other = build ~mult:40503 in
+  Alcotest.(check (list int)) "a different build after an overflowing reset" (sats man (other man)) (sats ov (other ov))
 
 let () =
   Alcotest.run "freeze"
@@ -272,10 +244,9 @@ let () =
         [ Alcotest.test_case "frozen eval matches live, isolated from churn" `Quick test_frozen_matches_live ] );
       ( "ctx",
         [
-          Alcotest.test_case "random ops vs live kernels across resets" `Quick test_ctx_differential;
-          Alcotest.test_case "satcount/const_value differential + budget kill" `Quick
-            test_ctx_counting_and_budget;
+          Alcotest.test_case "random ops vs live kernels across resets" `Quick test_overlay_differential;
+          Alcotest.test_case "satcount/const_value differential + budget kill" `Quick test_counting_and_budget;
         ] );
       ( "concurrent",
-        [ Alcotest.test_case "4 ctxs, 1 frozen space, identical answers" `Quick test_concurrent_ctxs ] );
+        [ Alcotest.test_case "4 ctxs, 1 frozen space, identical answers" `Quick test_concurrent_overlays ] );
     ]

@@ -209,6 +209,32 @@ let test_no_fd_leak () =
     | Some after -> check_int "fd count unchanged after 150 failed loads" before after
     | None -> ())
 
+(* A --dump name the algorithm does not declare is bad input: ptacli
+   exits 1 with the relations it can dump, before any solve starts
+   (nothing else is printed). *)
+let test_dump_unknown_relation () =
+  let dir = Filename.temp_dir "whalelam-dump" "" in
+  let jir = Filename.concat dir "p.jir" and log = Filename.concat dir "out" in
+  let prog = Synth.Generator.generate (Synth.Profiles.params ~scale:0.003 (Option.get (Synth.Profiles.find "gantt"))) in
+  Out_channel.with_open_bin jir (fun oc -> output_string oc (Jir.Jprinter.to_string prog));
+  let logfd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process "../bin/ptacli.exe" [| "ptacli"; "analyze"; "-a"; "cs"; "--dump=vP"; jir |] Unix.stdin logfd
+      logfd
+  in
+  Unix.close logfd;
+  let status = snd (Unix.waitpid [] pid) in
+  let out = In_channel.with_open_bin log In_channel.input_all in
+  List.iter Sys.remove [ jir; log ];
+  Sys.rmdir dir;
+  check_bool "exit 1" true (status = Unix.WEXITED 1);
+  match String.split_on_char '\n' (String.trim out) with
+  | [ line ] ->
+    check_bool ("names the bad relation: " ^ line) true
+      (String.starts_with ~prefix:"ptacli: --dump: vP is not a relation" line);
+    check_bool "lists the dumpable vPC" true (List.mem "vPC" (String.split_on_char ' ' line))
+  | lines -> Alcotest.failf "expected one error line before any solve, got:\n%s" (String.concat "\n" lines)
+
 (* --- the degradation ladder returns sound overapproximations --- *)
 
 let fg_of_profile name scale =
@@ -303,6 +329,7 @@ let () =
           Alcotest.test_case "file:line:field diagnostics" `Quick test_loader_diagnostics;
           Alcotest.test_case "injected corruption" `Quick test_corrupt_file_injection;
           Alcotest.test_case "no fd leak on failed loads" `Quick test_no_fd_leak;
+          Alcotest.test_case "analyze --dump of an unknown relation exits 1" `Quick test_dump_unknown_relation;
         ] );
       ( "fallback",
         [

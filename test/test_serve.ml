@@ -107,8 +107,8 @@ let test_soak () =
   let st = Store.load ~dir:(Lazy.force store_dir) in
   let srv = Serve.make st in
   let stats = Serve.make_stats () in
-  let ctx = Serve.new_ctx srv in
-  let ask ?(limits = roomy) line = Serve.serve_line ~limits ~stats srv ctx line in
+  let ov = Serve.overlay srv in
+  let ask ?(limits = roomy) line = Serve.serve_line ~limits ~stats srv ov line in
   let fd0 = count_fds () in
   let rng = Random.State.make [| 0xBADCAFE |] in
   let malformed =
@@ -211,10 +211,10 @@ let test_soak () =
 
 (* --- Parallel soak --------------------------------------------------
 
-   Eight concurrent "clients" (domains), each with its own evaluation
-   ctx, run the *same* deterministic 1k mixed valid/malformed query
-   mix plus a tail of budget-kill and firewall pairs.  Over a frozen
-   space a given query sequence on a fresh ctx is fully deterministic
+   Eight concurrent "clients" (domains), each with its own overlay,
+   run the *same* deterministic 1k mixed valid/malformed query mix
+   plus a tail of budget-kill and firewall pairs.  Over a frozen space
+   a given query sequence on a fresh overlay is fully deterministic
    — including budget-kill messages — so every domain's full answer
    transcript must be bit-identical to the single-threaded reference
    run, the shared stats must add up exactly, and the fd count must
@@ -258,13 +258,13 @@ let parallel_mix =
      in
      (base, base @ kills @ trips))
 
-(* One client: a fresh ctx, the whole sequence, raw result tuples out.
+(* One client: a fresh overlay, the whole sequence, raw result tuples out.
    No Alcotest inside (this runs inside spawned domains). *)
 let run_mix srv stats queries =
-  let ctx = Serve.new_ctx srv in
+  let ov = Serve.overlay srv in
   List.map
     (fun (line, tight_q) ->
-      let s = Serve.serve_line ~limits:(if tight_q then tight else roomy) ~stats srv ctx line in
+      let s = Serve.serve_line ~limits:(if tight_q then tight else roomy) ~stats srv ov line in
       (s.Serve.outcome.Serve.ok, s.Serve.outcome.Serve.command, s.Serve.outcome.Serve.lines, s.Serve.close))
     queries
 
@@ -349,7 +349,7 @@ let test_parallel_soak () =
 
 (* The daemon-shaped path: a Serve.Pool with 4 worker domains takes
    the same 1k valid/malformed mix from 8 concurrent client threads.
-   Which worker (hence which ctx, with which history) answers a given
+   Which worker (hence which overlay, with which history) answers a given
    query is scheduling-dependent, so budget-kill tails are excluded;
    every remaining answer is history-independent and must equal the
    reference, and nothing may be dropped.  After [shutdown], further
@@ -440,13 +440,13 @@ let test_serve_line_fuzz () =
   let st = Store.load ~dir:(Lazy.force fuzz_store_dir) in
   let srv = Serve.make st in
   let stats = Serve.make_stats () in
-  let ctx = Serve.new_ctx srv in
+  let ov = Serve.overlay srv in
   let fd0 = count_fds () in
   let lines = fuzz_lines 1200 in
   let served = ref 0 in
   List.iter
     (fun line ->
-      match Serve.serve_line ~limits:roomy ~stats srv ctx line with
+      match Serve.serve_line ~limits:roomy ~stats srv ov line with
       | s ->
         let o = s.Serve.outcome in
         if not (o.Serve.command = "" && o.Serve.lines = []) then begin
@@ -468,8 +468,10 @@ let test_serve_line_fuzz () =
 
 (* In-process backend daemon speaking the wire protocol over a unix
    socket, exactly as the ptacli serve driver frames it; the router
-   relays fuzz through it. *)
+   relays fuzz through it.  [open_conns] counts the accepted
+   connections it has not closed yet. *)
 let start_fuzz_backend ~sock =
+  let open_conns = Atomic.make 0 in
   let st = Store.load ~dir:(Lazy.force fuzz_store_dir) in
   let srv = Serve.make st in
   let stats = Serve.make_stats () in
@@ -488,15 +490,16 @@ let start_fuzz_backend ~sock =
             match Unix.accept fd with
             | exception Unix.Unix_error _ -> ()
             | cfd, _ ->
+              Atomic.incr open_conns;
               let ic = Unix.in_channel_of_descr cfd and oc = Unix.out_channel_of_descr cfd in
-              let ctx = Serve.new_ctx srv in
+              let ov = Serve.overlay srv in
               (try
                  let continue = ref true in
                  while !continue do
                    let line = input_line ic in
                    if String.trim line = "quit" then continue := false
                    else begin
-                     let s = Serve.serve_line ~limits:roomy ~stats srv ctx line in
+                     let s = Serve.serve_line ~limits:roomy ~stats srv ov line in
                      let o = s.Serve.outcome in
                      if not (o.Serve.command = "" && o.Serve.lines = []) then begin
                        Printf.fprintf oc "%s %s %d %.0fus\n"
@@ -509,18 +512,28 @@ let start_fuzz_backend ~sock =
                    end
                  done
                with End_of_file | Sys_error _ -> ());
-              try Unix.close cfd with Unix.Unix_error _ -> ())
+              (try Unix.close cfd with Unix.Unix_error _ -> ());
+              Atomic.decr open_conns)
         done;
         try Unix.close fd with Unix.Unix_error _ -> ())
       ()
   in
-  (thread, stop)
+  (thread, stop, open_conns)
+
+(* The backend closes a connection only once it reads the client's
+   EOF, so right after a client closes, the backend's descriptor may
+   still be open.  Wait (bounded) until it has closed them all. *)
+let await_backend_idle open_conns =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Atomic.get open_conns > 0 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done
 
 let test_router_relay_fuzz () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "fuzz-backend-%d.sock" (Unix.getpid ())) in
   (try Sys.remove sock with Sys_error _ -> ());
-  let thread, stop = start_fuzz_backend ~sock in
+  let thread, stop, open_conns = start_fuzz_backend ~sock in
   (* Snappy retry policy: hostile lines that legitimately drop the
      backend connection ("quit", protocol desync) burn a full
      timeout+backoff ladder each; the defaults would stretch 1k lines
@@ -547,6 +560,9 @@ let test_router_relay_fuzz () =
       try Sys.remove sock with Sys_error _ -> ())
     (fun () ->
       Pta.Router.probe_all router;
+      (* The probe's connection is closed on the router side; the
+         backend may still hold its end. *)
+      await_backend_idle open_conns;
       let fd0 = count_fds () in
       (* The wire protocol is line-framed, so a client can never hand
          the relay an embedded newline: strip them (a raw \n would
@@ -579,10 +595,11 @@ let test_router_relay_fuzz () =
         Alcotest.(check (list string)) "post-fuzz count vP body" [ "vP 8" ] r.Pta.Router.rp_body
       | None -> Alcotest.fail "post-fuzz count vP owed a reply");
       Pta.Router.close_session session;
+      await_backend_idle open_conns;
       match (fd0, count_fds ()) with
       | Some before, Some after ->
-        (* The sticky backend connection is closed; only pre-existing
-           fds remain. *)
+        (* The sticky backend connection is closed at both ends; only
+           pre-existing fds remain. *)
         Alcotest.(check int) "fd count stable" before after
       | _ -> ())
 

@@ -101,6 +101,7 @@ let test_warm_serve_batch () =
   let cs, cold_seconds = Lazy.force solved in
   let vpc = Analyses.relation cs "vPC" in
   let fresh_pt = Relation.project vpc [ "variable"; "heap" ] in
+  let man = Space.man (Relation.space fresh_pt) and fpt = Relation.freeze fresh_pt in
   let hdom = (Relation.find_attr fresh_pt "heap").Relation.block.Space.dom in
   let vdom = (Relation.find_attr fresh_pt "variable").Relation.block.Space.dom in
   let nv = Domain.size vdom in
@@ -118,8 +119,8 @@ let test_warm_serve_batch () =
     time (fun () ->
         let st = Store.load ~dir:(Lazy.force saved_dir) in
         let srv = Serve.make st in
-        let ctx = Serve.new_ctx srv in
-        (srv, List.map (Serve.handle srv ctx) queries))
+        let ov = Serve.overlay srv in
+        (srv, List.map (Serve.handle srv ov) queries))
   in
   ignore srv;
   List.iter (fun (o : Serve.outcome) -> Alcotest.(check bool) ("served ok: " ^ o.Serve.command) true o.Serve.ok) outcomes;
@@ -129,12 +130,12 @@ let test_warm_serve_batch () =
       match String.split_on_char ' ' q with
       | [ "points-to"; v ] ->
         let expect =
-          List.map (Domain.element_name hdom) (Queries.points_to fresh_pt ~var:(int_of_string v))
+          List.map (Domain.element_name hdom) (Queries.points_to man fpt ~var:(int_of_string v))
         in
         Alcotest.(check (list string)) ("answer: " ^ q) expect o.Serve.lines
       | [ "alias"; v1; v2 ] ->
         let shared =
-          Queries.alias_heaps fresh_pt ~v1:(int_of_string v1) ~v2:(int_of_string v2)
+          Queries.alias_heaps man fpt ~v1:(int_of_string v1) ~v2:(int_of_string v2)
         in
         let expect = (if shared = [] then "no" else "yes") :: List.map (Domain.element_name hdom) shared in
         Alcotest.(check (list string)) ("answer: " ^ q) expect o.Serve.lines
