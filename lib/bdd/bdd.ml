@@ -1157,17 +1157,21 @@ let serialize m roots =
    is bounded by the variable count (vars strictly increase downward). *)
 let copy src dst roots =
   extend_vars dst src.nvars;
-  let memo = Hashtbl.create 1024 in
-  Hashtbl.add memo bdd_false bdd_false;
-  Hashtbl.add memo bdd_true bdd_true;
+  (* Handles are slot indices below [num_slots], so the memo is a flat
+     array: a whole-store transfer visits every node once, and hashing
+     each one cost more than building its copy. *)
+  let memo = Array.make (max 2 src.num_slots) (-1) in
+  memo.(bdd_false) <- bdd_false;
+  memo.(bdd_true) <- bdd_true;
   let rec go n =
-    match Hashtbl.find_opt memo n with
-    | Some r -> r
-    | None ->
+    let r = memo.(n) in
+    if r >= 0 then r
+    else begin
       let l = go (nlow src n) and h = go (nhigh src n) in
       let r = mk dst (nvar src n) l h in
-      Hashtbl.add memo n r;
+      memo.(n) <- r;
       r
+    end
   in
   List.map go roots
 

@@ -6,9 +6,9 @@ module Engine = Datalog.Engine
 type result = { engine : Engine.t; stats : Engine.stats; program_text : string }
 type basic = Algo1 | Algo2 | Algo3
 
-let engine_of_program ?options ?file fg text =
+let engine_of_program ?options ?domain_order ?file fg text =
   let element_names name = Factgen.element_names fg name in
-  let eng = Engine.parse_and_create ?options ~element_names ?file text in
+  let eng = Engine.parse_and_create ?options ~element_names ?domain_order ?file text in
   List.iter
     (fun (name, tuples) -> Engine.set_tuples eng name (List.map Array.of_list tuples))
     (Programs.input_relations fg);
@@ -20,9 +20,9 @@ let basic_text ?query ~algo fg =
   | Algo2 -> (Programs.algo2 ?query fg, "<algo2>")
   | Algo3 -> (Programs.algo3 ?query fg, "<algo3>")
 
-let prepare_basic ?options ?query ~algo fg =
+let prepare_basic ?options ?query ?domain_order ~algo fg =
   let text, file = basic_text ?query ~algo fg in
-  let engine = engine_of_program ?options ~file fg text in
+  let engine = engine_of_program ?options ?domain_order ~file fg text in
   (engine, text)
 
 let run_basic ?options ?query ~algo fg =
@@ -82,11 +82,11 @@ let prepare_cs ?options ?query fg ctx =
   install_context_inputs engine ctx;
   (engine, text)
 
-let prepare_cs_claimed ?options ?query ?(otf = false) fg ~csize =
+let prepare_cs_claimed ?options ?query ?domain_order ?(otf = false) fg ~csize =
   let text, file =
     if otf then (Programs.algo5_otf ?query fg ~csize, "<algo5otf>") else (Programs.algo5 ?query fg ~csize, "<algo5>")
   in
-  let engine = engine_of_program ?options ~file fg text in
+  let engine = engine_of_program ?options ?domain_order ~file fg text in
   (engine, text)
 
 let run_cs ?options ?query fg ctx =

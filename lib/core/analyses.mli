@@ -15,12 +15,16 @@ type basic = Algo1  (** context-insensitive, CHA call graph, no filter *)
 val prepare_basic :
   ?options:Datalog.Engine.options ->
   ?query:Programs.query_suffix ->
+  ?domain_order:string list ->
   algo:basic ->
   Jir.Factgen.t ->
   Datalog.Engine.t * string
 (** Build the engine (program instantiated, inputs loaded, plans
     compiled) without running it — for [ptacli explain] and custom
-    drivers.  Returns the engine and the program text. *)
+    drivers.  Returns the engine and the program text.
+    [domain_order] overrides the program's [.bddvarorder] (see
+    {!Datalog.Engine.create}); {!Certify} uses it to rebuild a stored
+    layout. *)
 
 val run_basic :
   ?options:Datalog.Engine.options -> ?query:Programs.query_suffix -> algo:basic -> Jir.Factgen.t -> result
@@ -54,6 +58,7 @@ val prepare_cs :
 val prepare_cs_claimed :
   ?options:Datalog.Engine.options ->
   ?query:Programs.query_suffix ->
+  ?domain_order:string list ->
   ?otf:bool ->
   Jir.Factgen.t ->
   csize:int ->

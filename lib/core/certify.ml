@@ -138,12 +138,23 @@ let certify_engine ?(algo = "<live>") ?(max_witness = 5) ?fresh_inputs eng =
 
 (* --- Store certification --- *)
 
+(* The domain order a store's variable layout records: its domains
+   sorted by their lowest variable id.  The checker is built in this
+   order, not the program's, so a store saved before a program's
+   [.bddvarorder] changed still certifies. *)
+let stored_domain_order sp =
+  let lowest d =
+    List.fold_left (fun m (b : Space.block) -> Array.fold_left min m b.Space.bits) max_int (Space.instances sp d)
+  in
+  List.map snd (List.sort compare (List.map (fun d -> (lowest d, Domain.name d)) (Space.domains sp)))
+
 (* Rebuild an independent checker engine for the algorithm tag the
    store's config records.  The context-sensitive tags share one
    claimed-context checker: the Algorithm 5 program at the store's C
    domain size, with IEC/mC left empty for the candidate to fill —
    the context numbering is part of the answer, not recomputed. *)
 let checker_engine ?options ?query fg store =
+  let domain_order = stored_domain_order (Store.space store) in
   match Store.config_value store "algo" with
   | None -> Error (Unsupported "store config records no algo tag")
   | Some algo -> (
@@ -155,13 +166,15 @@ let checker_engine ?options ?query fg store =
         | "algo2" -> Analyses.Algo2
         | _ -> Analyses.Algo3
       in
-      Ok (fst (Analyses.prepare_basic ?options ?query ~algo:basic fg), algo)
+      Ok (fst (Analyses.prepare_basic ?options ?query ~domain_order ~algo:basic fg), algo)
     | "algo5" | "1cfa" | "algo5-otf" -> (
       match Store.domain store "C" with
       | None -> Error (Shape_mismatch (Printf.sprintf "%s store has no C domain" algo))
       | Some d ->
         Ok
-          ( fst (Analyses.prepare_cs_claimed ?options ?query ~otf:(algo = "algo5-otf") fg ~csize:(Domain.size d)),
+          ( fst
+              (Analyses.prepare_cs_claimed ?options ?query ~domain_order ~otf:(algo = "algo5-otf") fg
+                 ~csize:(Domain.size d)),
             algo ))
     | other -> Error (Unsupported (Printf.sprintf "no independent rule set for algo %S" other)))
 
@@ -170,8 +183,12 @@ let report_stub algo seconds = { c_algo = algo; c_relations = 0; c_rules = 0; c_
 let certify_store ?options ?query ?(max_witness = 5) fg store =
   let t0 = Unix.gettimeofday () in
   let fail algo f = { v_report = report_stub algo (Unix.gettimeofday () -. t0); v_failure = Some f } in
+  let stored_algo () = Option.value (Store.config_value store "algo") ~default:"?" in
   match checker_engine ?options ?query fg store with
-  | Error f -> fail (Option.value (Store.config_value store "algo") ~default:"?") f
+  | exception Engine.Engine_error msg ->
+    (* The store's layout names a domain the checked program lacks. *)
+    fail (stored_algo ()) (Shape_mismatch msg)
+  | Error f -> fail (stored_algo ()) f
   | Ok (eng, algo) -> (
     match Incr.layout_mismatch ~stored:(Store.space store) ~current:(Engine.space eng) with
     | Some msg -> fail algo (Shape_mismatch msg)

@@ -51,17 +51,26 @@ let layout_mismatch ~stored ~current =
     let s = space_shape stored and c = space_shape current in
     if s = c then None
     else
-      let rec first_diff s c =
-        match (s, c) with
-        | (dn, i, _) :: s', (dn', i', _) :: c' ->
-          if (dn, i) = (dn', i') then first_diff s' c' else Some (Printf.sprintf "block %s#%d" dn i)
-        | ((dn, i, _) :: _, []) | ([], (dn, i, _) :: _) -> Some (Printf.sprintf "block %s#%d" dn i)
-        | [], [] -> None
-      in
-      Some
-        (match first_diff s c with
-        | Some which -> which ^ " moved or resized"
-        | None -> "block widths changed")
+      let keys = List.map (fun (dn, i, _) -> (dn, i)) in
+      let only_in a b = List.find_opt (fun k -> not (List.mem k b)) a in
+      match (only_in (keys s) (keys c), only_in (keys c) (keys s)) with
+      | Some (dn, i), _ -> Some (Printf.sprintf "block %s#%d no longer allocated" dn i)
+      | None, Some (dn, i) -> Some (Printf.sprintf "block %s#%d newly allocated" dn i)
+      | None, None -> (
+        (* The same blocks: pair them up, then tell a real width change
+           from blocks that only sit at other variable ids. *)
+        let pairs = List.combine s c in
+        match List.find_opt (fun ((_, _, b), (_, _, b')) -> Array.length b <> Array.length b') pairs with
+        | Some ((dn, i, b), (_, _, b')) ->
+          Some
+            (Printf.sprintf "block widths changed (%s#%d: %d bits stored, %d now)" dn i (Array.length b)
+               (Array.length b'))
+        | None ->
+          (* Name the moved block lowest in the stored layout. *)
+          let lowest (_, _, b) = Array.fold_left min max_int b in
+          let moved = List.filter_map (fun (((_, _, b) as sb), (_, _, b')) -> if b <> b' then Some sb else None) pairs in
+          let dn, i, _ = List.hd (List.sort (fun x y -> compare (lowest x) (lowest y)) moved) in
+          Some (Printf.sprintf "block %s#%d moved" dn i))
 
 (* Copy every stored relation's BDD into the engine's manager as one
    shared-DAG transfer.  Only valid when the layouts match. *)

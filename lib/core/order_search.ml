@@ -20,16 +20,16 @@ let shuffle seed xs =
   done;
   Array.to_list a
 
-let run_candidate fg job order =
+let program_text fg job =
+  match job with
+  | Basic Analyses.Algo1 -> Programs.algo1 fg
+  | Basic Analyses.Algo2 -> Programs.algo2 fg
+  | Basic Analyses.Algo3 -> Programs.algo3 fg
+  | Context_sensitive ctx -> Programs.algo5 fg ~csize:(Context.csize ctx)
+
+let run_candidate fg job program order =
   let t0 = Unix.gettimeofday () in
-  let text =
-    match job with
-    | Basic Analyses.Algo1 -> Programs.algo1 fg
-    | Basic Analyses.Algo2 -> Programs.algo2 fg
-    | Basic Analyses.Algo3 -> Programs.algo3 fg
-    | Context_sensitive ctx -> Programs.algo5 fg ~csize:(Context.csize ctx)
-  in
-  let eng = Engine.parse_and_create ~element_names:(Factgen.element_names fg) ~domain_order:order text in
+  let eng = Engine.create ~element_names:(Factgen.element_names fg) ~domain_order:order program in
   List.iter
     (fun (name, tuples) -> Engine.set_tuples eng name (List.map Array.of_list tuples))
     (Programs.input_relations fg);
@@ -53,12 +53,9 @@ let run_candidate fg job order =
   }
 
 let search ?(budget = 6) ?(seed = 1) fg job =
-  let base = [ "V"; "H"; "F"; "T"; "I"; "N"; "M"; "Z" ] in
-  let base =
-    match job with
-    | Context_sensitive _ -> base @ [ "C" ]
-    | Basic _ -> base
-  in
+  let program = Datalog.Parser.parse (program_text fg job) in
+  (* Start from the order the program runs with. *)
+  let base = Datalog.Ast.domain_order program in
   let candidates =
     base :: List.rev base :: List.init budget (fun i -> shuffle (seed + i) base)
   in
@@ -75,5 +72,5 @@ let search ?(budget = 6) ?(seed = 1) fg job =
         end)
       candidates
   in
-  let results = List.map (run_candidate fg job) candidates in
+  let results = List.map (run_candidate fg job program) candidates in
   List.sort (fun a b -> compare (a.peak_nodes, a.seconds) (b.peak_nodes, b.seconds)) results

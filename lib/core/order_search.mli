@@ -5,9 +5,10 @@
     empirically to find an effective ordering" [35].  This module does
     the same at the granularity the engine controls: the relative
     order of the logical domains' variable blocks.  Candidates are the
-    declaration order, its reverse, and seeded random permutations;
-    each candidate solves the given program and is scored by peak live
-    BDD nodes (ties broken by time). *)
+    order the program runs with (its [.bddvarorder] if it has one,
+    else declaration order), its reverse, and seeded random
+    permutations; each candidate solves the given program and is
+    scored by peak live BDD nodes (ties broken by time). *)
 
 type candidate = {
   order : string list;

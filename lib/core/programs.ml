@@ -54,14 +54,24 @@ assign(v1, v2) :- IEcha(i, m), Iret(i, v1), Mret(m, v2).
 assign(v1, v2) :- IEcha(i, m2), mI(m1, i, _), Mthr(m1, v1), Mthr(m2, v2).
 |}
 
-let mk ?(query = no_query) fg ~extra_domains ~relations ~rules =
-  Printf.sprintf "DOMAINS\n%s%s\nRELATIONS\n%s%s%s\nRULES\n%s\n%s" (Factgen.domains_decl fg) extra_domains
+(* [var_order] goes on the blank line before RELATIONS, so adding it
+   moves no rule's line number. *)
+let mk ?(query = no_query) ?(var_order = "") fg ~extra_domains ~relations ~rules =
+  Printf.sprintf "DOMAINS\n%s%s%s\nRELATIONS\n%s%s%s\nRULES\n%s\n%s" (Factgen.domains_decl fg) extra_domains var_order
     common_relations relations query.q_relations rules query.q_rules
+
+(* bddbddb's variable order for the points-to programs,
+   N0_F0_I0_M1_M0_V1xV0_VC2xVC1xVC0_T0_Z0_T1_H0_H1, without its
+   context domain.  The join domains I, M and Z sit above the V bits
+   the rules keep, so [assign]'s joins over invocation edges stay
+   small (§6.4: the order matters).  Algorithm 5 and its relatives
+   keep declaration order. *)
+let ci_var_order = {|.bddvarorder "N F I M V T Z H"|}
 
 (* Algorithm 1: context-insensitive, precomputed (CHA) call graph, no
    type filtering. *)
 let algo1 ?query fg =
-  mk ?query fg ~extra_domains:""
+  mk ?query ~var_order:ci_var_order fg ~extra_domains:""
     ~relations:
       {|IEcha (invoke : I, target : M)
 assign (dest : V, source : V)
@@ -79,7 +89,7 @@ vP(v2, h2) :- load(v1, f, v2), vP(v1, h1), hP(h1, f, h2).
 
 (* Algorithm 2: Algorithm 1 plus the type filter (rules (5)-(9)). *)
 let algo2 ?query fg =
-  mk ?query fg ~extra_domains:""
+  mk ?query ~var_order:ci_var_order fg ~extra_domains:""
     ~relations:
       {|IEcha (invoke : I, target : M)
 assign (dest : V, source : V)
@@ -101,7 +111,7 @@ vP(v2, h2) :- load(v1, f, v2), vP(v1, h1), hP(h1, f, h2), vPfilter(v2, h2).
    virtual sites are resolved against the points-to sets of their
    receivers as those are discovered. *)
 let algo3 ?query fg =
-  mk ?query fg ~extra_domains:""
+  mk ?query ~var_order:ci_var_order fg ~extra_domains:""
     ~relations:
       {|assign (dest : V, source : V)
 vPfilter (variable : V, heap : H)

@@ -18,6 +18,12 @@ type program = {
   rules : rule list;
 }
 
+let domain_order p =
+  let declared = List.map (fun d -> d.dom_name) p.domains in
+  match p.var_order with
+  | None -> declared
+  | Some order -> order @ List.filter (fun d -> not (List.mem d order)) declared
+
 let vars_of_terms terms =
   List.fold_left
     (fun acc t ->

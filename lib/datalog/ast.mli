@@ -50,6 +50,12 @@ type program = {
   rules : rule list;
 }
 
+val domain_order : program -> string list
+(** The order the engine allocates the domains' variable blocks in when
+    given no explicit order: the [.bddvarorder] directive's domains,
+    then those it leaves out in declaration order; with no directive,
+    declaration order. *)
+
 val vars_of_atom : atom -> string list
 (** Distinct variables, in first-occurrence order. *)
 

@@ -365,19 +365,15 @@ let create ?(options = default_options) ?element_names ?domain_order (program : 
      demand of the relations' storage layouts and the plans' bindings. *)
   let demand = Ralg.instance_demand res (List.concat_map (fun (once, loop) -> once @ loop) ir_plans) in
   let order =
-    (* Explicit argument wins, then the program's .bddvarorder
-       directive, then declaration order. *)
-    let domain_order =
-      match domain_order with
-      | Some _ -> domain_order
-      | None -> program.Ast.var_order
-    in
-    match domain_order with
-    | None -> List.map fst res.Resolve.domains
-    | Some names ->
-      List.iter (fun n -> if not (List.mem_assoc n res.Resolve.domains) then fail "domain_order: unknown domain %s" n) names;
-      let missing = List.filter (fun (n, _) -> not (List.mem n names)) res.Resolve.domains in
-      names @ List.map fst missing
+    (* An explicit argument replaces the program's .bddvarorder
+       directive. *)
+    let program = if domain_order = None then program else { program with Ast.var_order = domain_order } in
+    Option.iter
+      (fun names ->
+        List.iter (fun n -> if not (List.mem_assoc n res.Resolve.domains) then fail "domain_order: unknown domain %s" n) names;
+        if List.length (List.sort_uniq compare names) <> List.length names then fail "domain_order: a domain is named twice")
+      program.Ast.var_order;
+    Ast.domain_order program
   in
   List.iter
     (fun dname ->

@@ -101,8 +101,11 @@ val create :
   t
 (** Resolves, lowers, and optimizes the program ({!Ralg}), then
     allocates one interleaved group of physical blocks per logical
-    domain (in [domain_order] if given, else declaration order) and
-    compiles every plan to a BDD step pipeline.  Plan-time failures
+    domain (in [domain_order] if given, else in the program's
+    [.bddvarorder], else in declaration order; domains an order leaves
+    out follow in declaration order) and compiles every plan to a BDD
+    step pipeline.  A [domain_order] naming an undeclared domain, or
+    one domain twice, is an {!Engine_error}.  Plan-time failures
     are reported as {!Engine_error} prefixed with the offending rule's
     [file:line] when known.  Raises {!Resolve.Check_error} /
     {!Stratify.Not_stratified} / {!Engine_error}. *)

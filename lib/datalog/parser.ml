@@ -157,6 +157,8 @@ let parse ?(file = "<datalog>") src =
     | Lexer.IDENT "RELATIONS" -> continue := false
     | Lexer.IDENT _ -> domains := domain_decl st :: !domains
     | Lexer.DOT -> (
+      let line = peek_line st in
+      if !var_order <> None then fail st "a second .bddvarorder directive";
       advance st;
       (match peek st with
       | Lexer.IDENT "bddvarorder" -> advance st
@@ -164,10 +166,24 @@ let parse ?(file = "<datalog>") src =
       match peek st with
       | Lexer.STRING s ->
         advance st;
-        var_order := Some (String.split_on_char ' ' s |> List.filter (fun x -> x <> ""))
+        var_order := Some (line, String.split_on_char ' ' s |> List.filter (fun x -> x <> ""))
       | t -> fail st (Format.asprintf "expected a quoted order after .bddvarorder, found %a" Lexer.pp_token t))
     | _ -> continue := false
   done;
+  (* The directive may precede some of the domains it names, so it is
+     checked once the whole section is read. *)
+  Option.iter
+    (fun (line, names) ->
+      let bad message = raise (Parse_error { message; line }) in
+      ignore
+        (List.fold_left
+           (fun seen n ->
+             if not (List.exists (fun (d : Ast.domain_decl) -> d.Ast.dom_name = n) !domains) then
+               bad (Printf.sprintf ".bddvarorder names unknown domain %s" n);
+             if List.mem n seen then bad (Printf.sprintf ".bddvarorder names domain %s twice" n);
+             n :: seen)
+           [] names))
+    !var_order;
   section st "RELATIONS";
   let relations = ref [] in
   while (match peek st with Lexer.IDENT "RULES" -> false | Lexer.IDENT _ -> true | _ -> false) do
@@ -175,4 +191,4 @@ let parse ?(file = "<datalog>") src =
   done;
   section st "RULES";
   let rules = rules_until_eof st in
-  { Ast.domains = List.rev !domains; var_order = !var_order; relations = List.rev !relations; rules }
+  { Ast.domains = List.rev !domains; var_order = Option.map snd !var_order; relations = List.rev !relations; rules }

@@ -24,6 +24,8 @@ type error = { message : string; line : int }
 exception Parse_error of error
 
 val parse : ?file:string -> string -> Ast.program
-(** Raises {!Parse_error} or {!Lexer.Lex_error}.  [file] (default
+(** Raises {!Parse_error} or {!Lexer.Lex_error}.  A [.bddvarorder]
+    directive naming an undeclared domain, or one domain twice, is a
+    {!Parse_error} at the directive's line.  [file] (default
     ["<datalog>"]) is recorded in every rule's {!Ast.pos} so
     diagnostics and [explain] can report [file:line]. *)

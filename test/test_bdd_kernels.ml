@@ -186,7 +186,13 @@ let test_serialize_roundtrip () =
         (Printf.sprintf "fresh-manager rel %d node count" k)
         (Bdd.node_count st.man (Relation.bdd st.rels.(k)))
         (Bdd.node_count man2 root2))
-    back2
+    back2;
+  (* [copy] is serialize piped into deserialize: a third manager holds
+     the same canonical dump. *)
+  let sp3 = Space.create ~node_hint:64 () in
+  ignore (Space.alloc_interleaved sp3 dom 3);
+  let copied = Bdd.copy st.man (Space.man sp3) roots in
+  Alcotest.(check bool) "copy dumps the same bytes" true (Bdd.serialize (Space.man sp3) copied = data)
 
 (* Corrupt dumps must be rejected with [Bad_input] (never a crash or a
    silently wrong BDD): truncation, bad magic, trailing garbage, and a

@@ -187,6 +187,20 @@ let test_incremental_and_memcap_pass () =
   | None -> ()
   | Some f -> Alcotest.failf "mem-capped load failed certification: %s" (Certify.failure_to_string f)
 
+(* A store's layout names the checker's domain order; a domain the
+   program lacks is a shape mismatch, not an internal error. *)
+let test_foreign_layout_refused () =
+  let dir = tmp_dir "certify-foreign" in
+  let sp = Space.create () in
+  let qb = Space.alloc sp (Domain.make ~name:"Q" ~size:4 ()) in
+  let r = Relation.of_tuples sp ~name:"vP" [ { Relation.attr_name = "q"; block = qb } ] [ [| 1 |] ] in
+  Store.save ~dir ~key:"foreign-key" ~config:[ ("algo", "algo3") ] ~space:sp ~relations:[ r ];
+  match (certify dir).Certify.v_failure with
+  | Some (Certify.Shape_mismatch msg) ->
+    Alcotest.(check string) "names the domain" "domain_order: unknown domain Q" msg
+  | Some f -> Alcotest.failf "expected a shape mismatch, got %s" (Certify.failure_to_string f)
+  | None -> Alcotest.fail "a foreign layout certified"
+
 (* --- follower gate: require-certified --- *)
 
 (* Hand-built tiny store a [Serve.t] accepts (a vP relation), so the
@@ -255,6 +269,7 @@ let () =
             test_input_corruption_caught;
           Alcotest.test_case "incremental chain and mem-capped load both certify" `Quick
             test_incremental_and_memcap_pass;
+          Alcotest.test_case "a domain the program lacks: shape mismatch" `Quick test_foreign_layout_refused;
         ] );
       ( "mark",
         [ Alcotest.test_case "save_delta outdates the mark; save drops it" `Quick test_mark_invalidation ] );

@@ -75,6 +75,10 @@ let test_parse_errors () =
       "DOMAINS\nRELATIONS\nr (a : V\nRULES\n";
       "DOMAINS\nRELATIONS\nRULES\nfoo(x) :- .\n";
       "RELATIONS\nRULES\n";
+      (* .bddvarorder must name each declared domain at most once. *)
+      "DOMAINS\nV 4\nH 4\n.bddvarorder \"V Q H\"\nRELATIONS\nRULES\n";
+      "DOMAINS\nV 4\nH 4\n.bddvarorder \"V V H\"\nRELATIONS\nRULES\n";
+      "DOMAINS\n.bddvarorder \"V\"\nV 4\n.bddvarorder \"V\"\nRELATIONS\nRULES\n";
     ]
   in
   List.iter
@@ -95,6 +99,17 @@ let test_error_line_numbers () =
   (match Parser.parse "DOMAINS\nV 4\nRELATIONS\nr (a : V)\nRULES\nr(x) :-\n" with
   | exception Parser.Parse_error e -> Alcotest.(check bool) "near the broken rule" true (e.Parser.line >= 6)
   | _ -> Alcotest.fail "expected error");
+  (* A bad .bddvarorder is reported at the directive's line, even when
+     the domains it names are declared after it. *)
+  List.iter
+    (fun (order, what) ->
+      match Parser.parse (Printf.sprintf "DOMAINS\nV 4\n.bddvarorder %S\nH 4\nRELATIONS\nRULES\n" order) with
+      | exception Parser.Parse_error e -> Alcotest.(check int) (what ^ " directive line") 3 e.Parser.line
+      | _ -> Alcotest.failf "expected %s directive to be rejected" what)
+    [ ("V Q H", "unknown-domain"); ("H V H", "repeated-domain") ];
+  (match Parser.parse "DOMAINS\nV 4\n.bddvarorder \"H V\"\nH 4\nRELATIONS\nRULES\n" with
+  | p -> Alcotest.(check (option (list string))) "forward reference" (Some [ "H"; "V" ]) p.Ast.var_order
+  | exception Parser.Parse_error e -> Alcotest.failf "forward reference rejected: %s" e.Parser.message);
   match Lexer.tokens "a b\nc $ d" with
   | exception Lexer.Lex_error e ->
     Alcotest.(check int) "lex error line" 2 e.Lexer.line;
@@ -365,10 +380,14 @@ let test_bddvarorder_directive () =
   in
   Alcotest.(check (list (list int))) "A B order" [ [ 2; 1 ]; [ 4; 3 ] ] (run "A B");
   Alcotest.(check (list (list int))) "B A order" [ [ 2; 1 ]; [ 4; 3 ] ] (run "B A");
-  (* Unknown domain in the directive is rejected. *)
-  match Engine.parse_and_create (src "A NOPE") with
+  (* Unknown domain in the directive is rejected as bad input; an
+     explicit order naming one is a programming error. *)
+  (match Engine.parse_and_create (src "A NOPE") with
+  | exception Parser.Parse_error _ -> ()
+  | _ -> Alcotest.fail "expected rejection of unknown domain in .bddvarorder");
+  match Engine.parse_and_create ~domain_order:[ "A"; "A" ] (src "A B") with
   | exception Engine.Engine_error _ -> ()
-  | _ -> Alcotest.fail "expected rejection of unknown domain in .bddvarorder"
+  | _ -> Alcotest.fail "expected rejection of a repeated domain in domain_order"
 
 let test_engine_accessors () =
   let eng = Engine.parse_and_create tc_src in

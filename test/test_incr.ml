@@ -174,6 +174,38 @@ let test_random_edit_scripts () =
     check_engines_equal (Printf.sprintf "script %d" script) o.Incr.engine cold.Analyses.engine
   done
 
+(* --- Migration: a store saved before Algorithm 3 took bddbddb's
+   variable order still certifies, and the first edit against it goes
+   cold to a result equal to a cold solve. ------------------------- *)
+
+let declaration_order = [ "V"; "H"; "F"; "T"; "I"; "N"; "M"; "Z" ]
+
+let test_old_order_store () =
+  let fg = Jir.Factgen.extract (gen_gantt ()) in
+  let old, _ = Analyses.prepare_basic ~domain_order:declaration_order ~algo:Analyses.Algo3 fg in
+  ignore (Engine.run old);
+  let dir = tmp_dir "incr-old-order" in
+  Store.save ~dir ~key:"old-order-key" ~config:[ ("algo", "algo3") ] ~space:(Engine.space old)
+    ~relations:(Engine.declared_relations old);
+  let current, _ = Analyses.prepare_basic ~algo:Analyses.Algo3 fg in
+  Alcotest.(check (option string)) "the program's own order differs" (Some "block V#0 moved")
+    (Incr.layout_mismatch ~stored:(Store.space (Store.load ~dir)) ~current:(Engine.space current));
+  let v = Pta.Certify.certify_store fg (Store.load ~dir) in
+  (match v.Pta.Certify.v_failure with
+  | None -> ()
+  | Some f -> Alcotest.failf "old-order store failed certification: %s" (Pta.Certify.failure_to_string f));
+  let p = gen_gantt () in
+  Printf.printf "edit: %s\n%!" (Synth.Edits.apply p { Synth.Edits.kind = Synth.Edits.Add_method; seed = 0 });
+  let fg' = Jir.Factgen.extract p in
+  let o = update_against dir fg' in
+  (match o.Incr.verdict with
+  | Incr.Cold (Incr.Layout_changed _) -> ()
+  | v -> Alcotest.failf "expected Cold (Layout_changed _), got %s" (Incr.verdict_to_string v));
+  check_engines_equal "old-order store" o.Incr.engine (Analyses.run_basic ~algo:Analyses.Algo3 fg').Analyses.engine;
+  Alcotest.(check bool) "the cold result certifies" true
+    (Pta.Certify.passed
+       (Pta.Certify.certify_engine ~fresh_inputs:(Pta.Programs.input_relations fg') o.Incr.engine))
+
 (* --- Synthetic chain: cheap hand-built store, ten layers, compact. -- *)
 
 let named_domain name size =
@@ -243,6 +275,27 @@ let test_ten_layer_chain () =
   let layer = save_chain_delta dir ~key:"k11" ~add:[ 100 ] ~remove:[] in
   Alcotest.(check int) "fresh chain restarts at layer 1" 1 layer;
   check_chain "post-compact delta" dir ~expect:(100 :: !expect) ~key:"k11" ~snapshot:13 ~layers:1
+
+(* --- Layout diagnostics name what changed. ------------------------ *)
+
+let layout_of domains =
+  let sp = Space.create () in
+  List.iter (fun (name, size) -> ignore (Space.alloc sp (named_domain name size))) domains;
+  sp
+
+let test_layout_moved () =
+  let stored = layout_of [ ("D", 256); ("E", 256) ] in
+  Alcotest.(check (option string)) "same layout" None
+    (Incr.layout_mismatch ~stored ~current:(layout_of [ ("D", 256); ("E", 256) ]));
+  Alcotest.(check (option string)) "swapped blocks" (Some "block D#0 moved")
+    (Incr.layout_mismatch ~stored ~current:(layout_of [ ("E", 256); ("D", 256) ]))
+
+let test_layout_width () =
+  (* D shrinks by as many bits as E grows: same variable count. *)
+  Alcotest.(check (option string)) "traded widths" (Some "block widths changed (D#0: 8 bits stored, 4 now)")
+    (Incr.layout_mismatch
+       ~stored:(layout_of [ ("D", 256); ("E", 16) ])
+       ~current:(layout_of [ ("D", 16); ("E", 256) ]))
 
 (* --- Crash matrix for save_delta: the base is never touched, so every
    crash point must reopen as old tip or new tip — absent is a bug. --- *)
@@ -358,6 +411,12 @@ let () =
           Alcotest.test_case "identical program: unchanged, nothing solved" `Quick test_unchanged;
           Alcotest.test_case "removal: cold fall-back, still identical" `Quick test_removal_goes_cold;
           Alcotest.test_case "random edit scripts always match cold" `Quick test_random_edit_scripts;
+          Alcotest.test_case "old-order store: certifies, first edit goes cold" `Quick test_old_order_store;
+        ] );
+      ( "layout",
+        [
+          Alcotest.test_case "moved blocks are named" `Quick test_layout_moved;
+          Alcotest.test_case "a width change says so" `Quick test_layout_width;
         ] );
       ( "chain",
         [

@@ -235,6 +235,30 @@ let test_dump_unknown_relation () =
     check_bool "lists the dumpable vPC" true (List.mem "vPC" (String.split_on_char ' ' line))
   | lines -> Alcotest.failf "expected one error line before any solve, got:\n%s" (String.concat "\n" lines)
 
+(* A .bddvarorder naming an undeclared or repeated domain is bad input:
+   ptacli datalog exits 1 with the directive's file:line, not 3 with an
+   internal error. *)
+let test_bad_bddvarorder () =
+  let dir = Filename.temp_dir "whalelam-varorder" "" in
+  let dl = Filename.concat dir "p.dl" and log = Filename.concat dir "out" in
+  List.iter
+    (fun (order, expect) ->
+      Out_channel.with_open_bin dl (fun oc ->
+          Printf.fprintf oc "DOMAINS\nV 4\nH 4\n.bddvarorder %S\nRELATIONS\noutput t (a : V, b : H)\nRULES\nt(0, 1).\n"
+            order);
+      let logfd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+      let pid =
+        Unix.create_process "../bin/ptacli.exe" [| "ptacli"; "datalog"; "--facts"; dir; dl |] Unix.stdin logfd logfd
+      in
+      Unix.close logfd;
+      let status = snd (Unix.waitpid [] pid) in
+      let out = String.trim (In_channel.with_open_bin log In_channel.input_all) in
+      check_bool (order ^ ": exit 1") true (status = Unix.WEXITED 1);
+      Alcotest.(check string) (order ^ ": diagnostic") (dl ^ ":4: " ^ expect) out)
+    [ ("V Q H", ".bddvarorder names unknown domain Q"); ("V V H", ".bddvarorder names domain V twice") ];
+  List.iter Sys.remove [ dl; log ];
+  Sys.rmdir dir
+
 (* --- the degradation ladder returns sound overapproximations --- *)
 
 let fg_of_profile name scale =
@@ -330,6 +354,7 @@ let () =
           Alcotest.test_case "injected corruption" `Quick test_corrupt_file_injection;
           Alcotest.test_case "no fd leak on failed loads" `Quick test_no_fd_leak;
           Alcotest.test_case "analyze --dump of an unknown relation exits 1" `Quick test_dump_unknown_relation;
+          Alcotest.test_case "datalog with a bad .bddvarorder exits 1" `Quick test_bad_bddvarorder;
         ] );
       ( "fallback",
         [
