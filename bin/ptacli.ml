@@ -133,6 +133,10 @@ let save_store ~dir ~key ~config (result : Analyses.result) =
   Store.save ~dir ~key ~config ~space:(Datalog.Engine.space eng) ~relations:rels;
   Printf.printf "store: saved %d relations to %s/store (key %s)\n" (List.length rels) dir (String.sub key 0 12)
 
+(* The committed chain tip's snapshot, for summary lines (0 when the
+   store is gone or broken). *)
+let tip_snapshot dir = match Store.read_tip ~dir with Some tip -> tip.Store.snapshot | None -> 0
+
 let store_dir_arg =
   Arg.(
     value
@@ -530,11 +534,9 @@ let query_cmd =
            program, but the store's contents are the folded tip — a
            stale base must read as a miss, and a current tip as a hit
            with its snapshot serial named. *)
-        let tip = Store.read_ident ~dir in
-        if (match tip with Some (k, _) -> k = key | None -> false) then begin
-          let snapshot = match tip with Some (_, s) -> s | None -> 0 in
-          Printf.printf "query path: store hit (%s/store, snapshot %d)\n" dir snapshot;
+        if (match Store.read_tip ~dir with Some tip -> tip.Store.key = key | None -> false) then begin
           let st = Store.load ~dir in
+          Printf.printf "query path: store hit (%s/store, snapshot %d)\n" dir (Store.snapshot st);
           (match leak with
           | Some _ ->
             dump_store_relation st "whoPointsTo";
@@ -709,17 +711,17 @@ let update_cmd =
               (String.sub mk 0 12) ms
           end
           else begin
-          (match o.Pta.Incr.verdict with
-          | Pta.Incr.Cold _ ->
-            Store.save ~dir ~key ~config ~space:(Datalog.Engine.space eng)
-              ~relations:(Datalog.Engine.declared_relations eng)
-          | Pta.Incr.Incremental | Pta.Incr.Unchanged ->
-            ignore
-              (Store.save_delta ~dir ~key ~config ~space:(Datalog.Engine.space eng)
-                 ~deltas:o.Pta.Incr.deltas));
+          let layers =
+            match o.Pta.Incr.verdict with
+            | Pta.Incr.Cold _ ->
+              Store.save ~dir ~key ~config ~space:(Datalog.Engine.space eng)
+                ~relations:(Datalog.Engine.declared_relations eng);
+              0
+            | Pta.Incr.Incremental | Pta.Incr.Unchanged ->
+              Store.save_delta ~dir ~key ~config ~space:(Datalog.Engine.space eng) ~deltas:o.Pta.Incr.deltas
+          in
           if do_certify then ignore (Store.mark_certified ~dir);
-          let layers = Option.value (Store.read_layers ~dir) ~default:0 in
-          let snapshot = match Store.read_ident ~dir with Some (_, s) -> s | None -> 0 in
+          let snapshot = tip_snapshot dir in
           Printf.printf "update: %s in %.3fs (%d relations changed; snapshot %d, %d layer%s)\n%!"
             (Pta.Incr.verdict_to_string o.Pta.Incr.verdict)
             (Unix.gettimeofday () -. t0)
@@ -732,7 +734,7 @@ let update_cmd =
              | n ->
                Printf.printf "update: compacted %d layer%s into a new base (snapshot %d)\n%!" n
                  (if n = 1 then "" else "s")
-                 (Option.value (Store.read_snapshot ~dir) ~default:0);
+                 (tip_snapshot dir);
                (* compact drops the certified line (new base = new
                   identity); the fold of a just-certified tip is
                   content-identical, so re-mark it. *)
@@ -917,8 +919,8 @@ let certify_cmd =
    previous instance mid-restart) interrupting the probe must not
    misclassify a live daemon as stale.  After EINTR the connection may
    complete asynchronously, so a retry answering EALREADY/EISCONN also
-   means alive. *)
-let prepare_socket_path path =
+   means alive.  [cmd] names the calling subcommand in the messages. *)
+let prepare_socket_path ~cmd path =
   if Sys.file_exists path then begin
     match (Unix.stat path).Unix.st_kind with
     | Unix.S_SOCK ->
@@ -935,15 +937,15 @@ let prepare_socket_path path =
       in
       (try Unix.close probe with Unix.Unix_error _ -> ());
       if alive then begin
-        Printf.eprintf "serve: a live daemon is already listening on %s; refusing to replace it\n%!" path;
+        Printf.eprintf "%s: a live daemon is already listening on %s; refusing to replace it\n%!" cmd path;
         exit 1
       end
       else begin
-        Printf.eprintf "serve: removing stale socket %s (no listener answered the probe)\n%!" path;
+        Printf.eprintf "%s: removing stale socket %s (no listener answered the probe)\n%!" cmd path;
         try Sys.remove path with Sys_error _ -> ()
       end
     | _ ->
-      Printf.eprintf "serve: %s exists and is not a socket; refusing to remove it\n%!" path;
+      Printf.eprintf "%s: %s exists and is not a socket; refusing to remove it\n%!" cmd path;
       exit 1
   end
 
@@ -955,19 +957,16 @@ let serve_cmd =
        structured error (code 1) without ever binding — leaving no
        socket file behind for a router to trip over. *)
     let st = Store.load ~dir in
-    (* --require-certified also gates the *initial* snapshot: refusing
-       to start beats serving an unvouched-for answer until the first
-       swap.  (The same comparison gates every later candidate in
-       Serve.Follow.poll.) *)
-    if require_certified then begin
-      let ident = Store.read_ident ~dir in
-      if ident = None || Store.read_certified ~dir <> ident then begin
-        Printf.eprintf
-          "serve: store at %s is not certified (run 'ptacli certify PROGRAM.jir --store %s' first, or drop \
-           --require-certified)\n%!"
-          dir dir;
-        exit 1
-      end
+    (* --require-certified also gates the *initial* snapshot, on the
+       store just loaded: refusing to start beats serving an
+       unvouched-for answer until the first swap.  (The same check
+       gates every later candidate in Serve.Follow.poll.) *)
+    if require_certified && not (Store.certified st) then begin
+      Printf.eprintf
+        "serve: store at %s is not certified (run 'ptacli certify PROGRAM.jir --store %s' first, or drop \
+         --require-certified)\n%!"
+        dir dir;
+      exit 1
     end;
     let srv = Pta.Serve.make st in
     let stats = Pta.Serve.make_stats () in
@@ -1088,7 +1087,7 @@ let serve_cmd =
       let handler _ = shutdown := true in
       Sys.set_signal Sys.sigterm (Sys.Signal_handle handler);
       Sys.set_signal Sys.sigint (Sys.Signal_handle handler);
-      prepare_socket_path path;
+      prepare_socket_path ~cmd:"serve" path;
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.bind fd (Unix.ADDR_UNIX path);
       Unix.listen fd 16;
@@ -1315,7 +1314,7 @@ let route_cmd =
           done)
         ()
     in
-    prepare_socket_path socket;
+    prepare_socket_path ~cmd:"route" socket;
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.bind fd (Unix.ADDR_UNIX socket);
     Unix.listen fd 16;
@@ -1478,7 +1477,7 @@ let store_group_cmd =
   let healthy checks = checks <> [] && List.for_all (fun (c : Store.check) -> c.Store.chk_ok) checks in
   let verify =
     let run dir =
-      let checks = Store.verify ~dir () in
+      let checks = Store.verify ~dir in
       print_checks checks;
       if healthy checks then print_endline "store: valid"
       else begin
@@ -1496,7 +1495,7 @@ let store_group_cmd =
   in
   let repair =
     let run dir =
-      let checks = Store.verify ~dir () in
+      let checks = Store.verify ~dir in
       if healthy checks then print_endline "store: healthy, nothing to repair"
       else begin
         print_checks checks;
@@ -1535,7 +1534,7 @@ let store_group_cmd =
       | n ->
         Printf.printf "store: compacted %d layer%s into a new base (snapshot %d)\n" n
           (if n = 1 then "" else "s")
-          (Option.value (Store.read_snapshot ~dir) ~default:0)
+          (tip_snapshot dir)
     in
     Cmd.v
       (Cmd.info "compact"

@@ -429,7 +429,7 @@ let budget_check m =
   match m.budget with
   | None -> ()
   | Some b -> (
-    match Budget.check_nodes b ~bytes:(table_bytes m) ~live:(live_nodes m) ~allocs:m.allocs () with
+    match Budget.check_nodes b ~live:(live_nodes m) ~allocs:m.allocs with
     | Some reason -> raise (Limit_exceeded reason)
     | None -> ())
 

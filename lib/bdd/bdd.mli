@@ -282,8 +282,8 @@ val gc_mode : man -> gc_mode
 val set_budget : man -> Budget.t option -> unit
 (** Install (or clear) the budget this manager enforces.  Enforcement
     is amortized: the limits are tested on the fresh-allocation slow
-    path of the node constructor, once every {!budget_check_interval}
-    allocations, so cache-hit lookups pay nothing and a live-node
+    path of the node constructor, once every 4096 allocations, so
+    cache-hit lookups pay nothing and a live-node
     limit can be overshot by at most the interval.  With no budget
     installed the only cost is one counter increment per fresh node. *)
 
@@ -293,9 +293,6 @@ val allocations : man -> int
 (** Total fresh-node allocations since creation (never decreases;
     compare with {!live_nodes}, which GC shrinks).  This is the
     counter [Budget.max_allocations] is compared against. *)
-
-val budget_check_interval : int
-(** Allocations between two budget checks (a power of two). *)
 
 val live_nodes : man -> int
 (** Currently allocated (live) nodes, terminals excluded. *)
@@ -343,10 +340,9 @@ val arena_stats : man -> arena_stats
 
 val table_bytes : man -> int
 (** Total node-table bytes: all arena pages (resident and spilled)
-    plus the unique-table bucket array.  This is the quantity
-    [Budget.max_table_bytes] is checked against — spilled pages count,
-    so the byte budget bounds the problem size, while [max_bytes]
-    bounds the memory footprint. *)
+    plus the unique-table bucket array.  Spilled pages count, so this
+    measures the problem size (the engine's GC trigger compares
+    against it), while [max_bytes] bounds the memory footprint. *)
 
 val to_dot : ?var_name:(int -> string) -> man -> t -> string
 (** Graphviz rendering of the DAG: solid edges for high (1) branches,

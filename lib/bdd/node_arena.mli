@@ -52,11 +52,9 @@ val empty_page : int array
     [a.pages.(p) != empty_page] is a correct one-instruction residency
     test. *)
 
-val default_page_bits : int
-(** 12: 4096 slots, 128 KiB of packed records per page. *)
-
 val create : ?page_bits:int -> ?max_bytes:int -> ?spill_path:string -> unit -> t
-(** Empty arena (no pages).  [page_bits] must be in [\[4, 22\]].
+(** Empty arena (no pages).  [page_bits] must be in [\[4, 22\]]
+    (default 12: 4096 slots, 128 KiB of packed records per page).
     [max_bytes] caps resident page bytes (clamped to at least three
     pages: the pinned terminal page, the allocation tail and one
     victim).  [spill_path] names the scratch file; default is a fresh

@@ -33,5 +33,3 @@ val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 
-val bits_for : int -> int
-(** [bits_for n] is the width needed for values [0 .. n-1]. *)

@@ -30,6 +30,7 @@ type t = {
   st_domains : (string * Domain.t) list;
   st_rels : (string * Relation.t) list; (* manifest order *)
   st_layers : int; (* delta layers folded into this load *)
+  st_certified : bool; (* the base's certification mark names this tip *)
 }
 
 (* v2: checksummed manifest + WLBDD02 checksummed BDD framing.
@@ -207,120 +208,90 @@ let scan_snapshot path =
     | Some _ | None -> None
     | exception Sys_error _ -> None
 
-let save ~dir ~key ~config ~space ~relations =
-  List.iter
-    (fun r ->
-      check_name "relation" (Relation.name r);
-      if Relation.space r != space then invalid_arg "Store.save: relation from a different space")
-    relations;
-  let names = List.map Relation.name relations in
-  if List.length (List.sort_uniq compare names) <> List.length names then
-    invalid_arg "Store.save: duplicate relation names";
-  List.iter
-    (fun (k, v) ->
-      check_name "config" k;
-      if String.contains v '\n' then invalid_arg "Store.save: config value contains newline")
-    config;
-  let doms = Space.domains space in
-  List.iter (fun d -> check_name "domain" (Domain.name d)) doms;
-  (* Render every data file up front so the checksums the manifest
-     records are over the exact bytes written. *)
-  let maps =
-    List.filter_map
-      (fun d ->
-        match Domain.element_names d with
-        | None -> None
-        | Some names ->
-          let b = Buffer.create 1024 in
-          for i = 0 to Domain.size d - 1 do
-            Buffer.add_string b names.(i);
-            Buffer.add_char b '\n'
-          done;
-          Some (Domain.name d, Buffer.contents b))
-      doms
-  in
-  let dump = Bdd.serialize (Space.man space) (List.map Relation.bdd relations) in
-  let checksums =
-    (bdd_file, String.length dump, Crc32.string dump)
-    :: List.map (fun (dn, content) -> (map_file dn, String.length content, Crc32.string content)) maps
-  in
-  let mpath = manifest_path dir in
-  mkdir_p (subdir dir);
-  (* Monotonic per-directory save counter: the follower swap protocol
-     distinguishes "same key, re-saved" (snapshot bumps) from "nothing
-     changed" (identical key and snapshot).  Allocated from the
-     dedicated serial file (max'd against the manifest for stores
-     predating it) and committed durably *before* the old manifest is
-     invalidated, so a save torn at any later crash point cannot make
-     the counter go backwards. *)
-  let snapshot =
-    let prev =
-      List.fold_left
-        (fun acc o -> match o with Some n -> max acc n | None -> acc)
-        0
-        [ read_serial (serial_path dir); scan_snapshot mpath ]
-    in
-    prev + 1
-  in
-  write_atomic (serial_path dir) (string_of_int snapshot ^ "\n");
-  let manifest =
-    let b = Buffer.create 1024 in
-    Printf.bprintf b "whalelam-store %d\n" format_version;
-    Printf.bprintf b "key %s\n" key;
-    Printf.bprintf b "snapshot %d\n" snapshot;
-    List.iter (fun (k, v) -> Printf.bprintf b "config %s %s\n" k v) config;
-    Printf.bprintf b "nvars %d\n" (Space.num_vars space);
-    List.iter
-      (fun d ->
-        Printf.bprintf b "domain %s %d %d\n" (Domain.name d) (Domain.size d)
-          (if Domain.element_names d = None then 0 else 1))
-      doms;
-    List.iter
-      (fun d ->
-        List.iter
-          (fun (blk : Space.block) ->
-            Printf.bprintf b "block %s %d %s\n" (Domain.name d) blk.Space.instance
-              (String.concat " " (List.map string_of_int (Array.to_list blk.Space.bits))))
-          (Space.instances space d))
-      doms;
-    List.iter
-      (fun r ->
-        Printf.bprintf b "relation %s %s\n" (Relation.name r)
-          (String.concat " "
-             (List.map
-                (fun (a : Relation.attr) ->
-                  Printf.sprintf "%s:%s:%d" a.Relation.attr_name
-                    (Domain.name a.Relation.block.Space.dom)
-                    a.Relation.block.Space.instance)
-                (Relation.attrs r))))
-      relations;
-    List.iter
-      (fun (file, size, crc) -> Printf.bprintf b "checksum %s %d %s\n" file size (Crc32.to_hex crc))
-      checksums;
-    (* Self-checksum over every preceding byte: a flipped bit anywhere
-       above is caught before any field is believed. *)
-    Printf.bprintf b "selfsum %s\n" (Crc32.to_hex (Crc32.string (Buffer.contents b)));
-    Buffer.add_string b "end\n";
-    Buffer.contents b
-  in
-  (* Invalidate any previous store before touching its data files, and
-     make the invalidation durable: a crash after this point must read
-     as "no store", never as the old manifest over new data files. *)
-  if Sys.file_exists mpath then begin
-    Faults.fs_op ("remove " ^ mpath);
-    (try Sys.remove mpath with Sys_error _ -> ());
-    Faults.fs_op ("fsync-dir " ^ subdir dir);
-    fsync_dir (subdir dir)
-  end;
-  List.iter (fun (dn, content) -> write_atomic (map_path dir dn) content) maps;
-  write_atomic (bdd_path dir) dump;
-  (* Manifest written last = the commit point of the whole store. *)
-  write_atomic mpath manifest;
-  (* The new base orphans any delta chain the directory carried (its
-     layers name the previous base's snapshot); reclaim the files. *)
-  remove_layer_files dir
+(* --- Manifests ---
 
-(* --- Manifest parsing --- *)
+   A base manifest ([whalelam-store 3]) and a layer manifest
+   ([whalelam-layer 1]) share one line grammar: the header, then
+   [key], [snapshot], [config], [nvars], [domain] and [checksum]
+   lines, then a [selfsum] CRC-32 of every line above it and an [end]
+   trailer.  Only a base carries [block], [relation] and [certified]
+   lines, and only a layer [layer], [base-snapshot], [prev-snapshot]
+   and [delta] lines; a line under the other header is malformed.  A
+   manifest is written (by {!render}) in exactly the order below. *)
+
+type kind = Base | Layer
+
+type manifest = {
+  m_kind : kind;
+  m_path : string;
+  m_key : string; (* for a layer: content key of the chain up to and including it *)
+  m_snapshot : int;
+  m_config : (string * string) list;
+  m_nvars : int;
+  m_domains : (string * int * bool) list; (* name, size (a layer's: final), carries a map *)
+  m_checksums : (string * int * int) list; (* file, size, crc32 *)
+  m_blocks : (string * int * int array) list; (* base: dom, instance, bits *)
+  m_relations : (string * (string * string * int) list) list; (* base: rel, attrs (name, dom, instance) *)
+  m_certified : (string * int) option; (* base: chain-tip (key, snapshot) a semantic certification vouched for *)
+  m_index : int; (* layer: its position in the chain, from 1 *)
+  m_base_snapshot : int; (* layer: the base save it extends *)
+  m_prev_snapshot : int; (* layer: the element directly below (base or layer n-1) *)
+  m_deltas : string list; (* layer: relation names; dump roots are (added, removed) pairs in this order *)
+}
+
+let blank kind path =
+  {
+    m_kind = kind;
+    m_path = path;
+    m_key = "";
+    m_snapshot = 0;
+    m_config = [];
+    m_nvars = 0;
+    m_domains = [];
+    m_checksums = [];
+    m_blocks = [];
+    m_relations = [];
+    m_certified = None;
+    m_index = 0;
+    m_base_snapshot = 0;
+    m_prev_snapshot = 0;
+    m_deltas = [];
+  }
+
+let header = function
+  | Base -> Printf.sprintf "whalelam-store %d" format_version
+  | Layer -> Printf.sprintf "whalelam-layer %d" layer_format_version
+
+let render m =
+  let b = Buffer.create 1024 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  line "%s" (header m.m_kind);
+  if m.m_kind = Layer then line "layer %d" m.m_index;
+  line "key %s" m.m_key;
+  line "snapshot %d" m.m_snapshot;
+  if m.m_kind = Layer then begin
+    line "base-snapshot %d" m.m_base_snapshot;
+    line "prev-snapshot %d" m.m_prev_snapshot
+  end;
+  List.iter (fun (k, v) -> line "config %s %s" k v) m.m_config;
+  line "nvars %d" m.m_nvars;
+  List.iter (fun (d, size, mapped) -> line "domain %s %d %d" d size (Bool.to_int mapped)) m.m_domains;
+  List.iter
+    (fun (d, inst, bits) ->
+      line "block %s %d %s" d inst (String.concat " " (List.map string_of_int (Array.to_list bits))))
+    m.m_blocks;
+  List.iter
+    (fun (r, attrs) ->
+      line "relation %s %s" r (String.concat " " (List.map (fun (a, d, i) -> Printf.sprintf "%s:%s:%d" a d i) attrs)))
+    m.m_relations;
+  List.iter (line "delta %s") m.m_deltas;
+  List.iter (fun (file, size, crc) -> line "checksum %s %d %s" file size (Crc32.to_hex crc)) m.m_checksums;
+  Option.iter (fun (k, s) -> line "certified %s %d" k s) m.m_certified;
+  (* Self-checksum over every preceding byte: a flipped bit anywhere
+     above is caught before any field is believed. *)
+  line "selfsum %s" (Crc32.to_hex (Crc32.string (Buffer.contents b)));
+  line "end";
+  Buffer.contents b
 
 let read_lines path =
   let ic = try open_in path with Sys_error msg -> bad ~path ~line:0 "%s" msg in
@@ -334,18 +305,6 @@ let read_lines path =
          done
        with End_of_file -> ());
       List.rev !lines)
-
-type manifest = {
-  m_key : string;
-  m_snapshot : int;
-  m_config : (string * string) list;
-  m_nvars : int;
-  m_domains : (string * int * bool) list; (* name, size, has map *)
-  m_blocks : (string * int * int array) list; (* dom, instance, bits *)
-  m_relations : (string * (string * string * int) list) list; (* rel, attrs (name, dom, instance) *)
-  m_checksums : (string * int * int) list; (* file, size, crc32 *)
-  m_certified : (string * int) option; (* chain-tip (key, snapshot) a semantic certification vouched for *)
-}
 
 let split_ws s = String.split_on_char ' ' s |> List.filter (fun f -> f <> "")
 
@@ -375,172 +334,202 @@ let verify_selfsum path lines =
           (Crc32.to_hex recorded) (Crc32.to_hex actual))
   | _ -> bad ~path ~line:(n - 1) "missing selfsum line before the end trailer (truncated manifest)"
 
-let parse_manifest path =
+let parse_manifest kind path =
   let lines = read_lines path in
-  let int_field ~line what s =
-    match int_of_string_opt s with
-    | Some v when v >= 0 -> v
-    | Some _ | None -> bad ~path ~line "%s: not a non-negative integer: %s" what s
-  in
+  let base = kind = Base in
+  let what = if base then "manifest" else "layer manifest" in
   (match lines with
-  | first :: _ when first = Printf.sprintf "whalelam-store %d" format_version -> ()
-  | first :: _ -> bad ~path ~line:1 "unsupported store format: %s" first
-  | [] -> bad ~path ~line:1 "empty manifest");
+  | first :: _ when first = header kind -> ()
+  | first :: _ -> bad ~path ~line:1 "unsupported %s format: %s" (if base then "store" else "layer") first
+  | [] -> bad ~path ~line:1 "empty %s" what);
   (match List.rev lines with
   | "end" :: _ -> ()
-  | _ -> bad ~path ~line:(List.length lines) "missing end trailer (truncated manifest)");
+  | _ -> bad ~path ~line:(List.length lines) "missing end trailer (truncated %s)" what);
   verify_selfsum path lines;
-  let key = ref None
-  and snapshot = ref None
-  and config = ref []
-  and nvars = ref None
-  and domains = ref []
-  and blocks = ref []
-  and relations = ref []
-  and checksums = ref []
-  and certified = ref None in
+  let key = ref None and snapshot = ref None and nvars = ref None in
+  let index = ref None and base_snapshot = ref None and prev_snapshot = ref None in
+  let config = ref [] and domains = ref [] and checksums = ref [] and certified = ref None in
+  let blocks = ref [] and relations = ref [] and deltas = ref [] in
   List.iteri
     (fun i line ->
       let line_no = i + 1 in
+      let nat what s =
+        match int_of_string_opt s with
+        | Some v when v >= 0 -> v
+        | Some _ | None -> bad ~path ~line:line_no "%s: not a non-negative integer: %s" what s
+      in
       if i > 0 && line <> "end" then
         match split_ws line with
         | [ "key"; k ] -> key := Some k
-        | [ "snapshot"; n ] -> snapshot := Some (int_field ~line:line_no "snapshot" n)
+        | [ "snapshot"; n ] -> snapshot := Some (nat "snapshot" n)
         | "config" :: k :: _ ->
           (* The value is everything after the key, spaces included. *)
-          let prefix = "config " ^ k ^ " " in
-          let v =
-            if String.length line >= String.length prefix then
-              String.sub line (String.length prefix) (String.length line - String.length prefix)
-            else ""
-          in
+          let skip = String.length "config " + String.length k + 1 in
+          let v = if String.length line >= skip then String.sub line skip (String.length line - skip) else "" in
           config := (k, v) :: !config
-        | [ "nvars"; n ] -> nvars := Some (int_field ~line:line_no "nvars" n)
-        | [ "domain"; name; size; mapped ] ->
-          domains := (name, int_field ~line:line_no "domain size" size, mapped = "1") :: !domains
-        | "block" :: dname :: inst :: bits ->
-          blocks :=
-            (dname, int_field ~line:line_no "instance" inst,
-             Array.of_list (List.map (int_field ~line:line_no "bit") bits))
-            :: !blocks
-        | "relation" :: rname :: attrs ->
+        | [ "nvars"; n ] -> nvars := Some (nat "nvars" n)
+        | [ "domain"; name; size; mapped ] -> domains := (name, nat "domain size" size, mapped = "1") :: !domains
+        | [ "checksum"; file; size; crc ] -> (
+          match Crc32.of_hex crc with
+          | Some c -> checksums := (file, nat "checksum size" size, c) :: !checksums
+          | None -> bad ~path ~line:line_no "malformed checksum value %s" crc)
+        | [ "selfsum"; _ ] -> () (* verified up front by [verify_selfsum] *)
+        | "block" :: dname :: inst :: bits when base ->
+          blocks := (dname, nat "instance" inst, Array.of_list (List.map (nat "bit") bits)) :: !blocks
+        | "relation" :: rname :: attrs when base ->
           let parse_attr spec =
             match String.split_on_char ':' spec with
-            | [ a; d; inst ] -> (a, d, int_field ~line:line_no "attr instance" inst)
+            | [ a; d; inst ] -> (a, d, nat "attr instance" inst)
             | _ -> bad ~path ~line:line_no "malformed attribute spec %s" spec
           in
           relations := (rname, List.map parse_attr attrs) :: !relations
-        | [ "checksum"; file; size; crc ] -> (
-          match Crc32.of_hex crc with
-          | Some c -> checksums := (file, int_field ~line:line_no "checksum size" size, c) :: !checksums
-          | None -> bad ~path ~line:line_no "malformed checksum value %s" crc)
-        | [ "certified"; k; s ] -> certified := Some (k, int_field ~line:line_no "certified snapshot" s)
-        | [ "selfsum"; _ ] -> () (* verified up front by [verify_selfsum] *)
-        | _ -> bad ~path ~line:line_no "unrecognized manifest line: %s" line)
+        | [ "certified"; k; s ] when base -> certified := Some (k, nat "certified snapshot" s)
+        | [ "layer"; n ] when not base -> index := Some (nat "layer" n)
+        | [ "base-snapshot"; n ] when not base -> base_snapshot := Some (nat "base-snapshot" n)
+        | [ "prev-snapshot"; n ] when not base -> prev_snapshot := Some (nat "prev-snapshot" n)
+        | [ "delta"; rname ] when not base -> deltas := rname :: !deltas
+        | _ -> bad ~path ~line:line_no "unrecognized %s line: %s" what line)
     lines;
-  let require what = function
+  let require name r =
+    match !r with
     | Some v -> v
-    | None -> bad ~path ~line:0 "manifest is missing its %s line" what
+    | None -> bad ~path ~line:0 "%s is missing its %s line" what name
   in
+  let link name r = if base then 0 else require name r in
+  let m_index = link "layer" index in
+  let m_key = require "key" key in
+  let m_snapshot = require "snapshot" snapshot in
+  let m_base_snapshot = link "base-snapshot" base_snapshot in
+  let m_prev_snapshot = link "prev-snapshot" prev_snapshot in
+  let m_nvars = require "nvars" nvars in
   {
-    m_key = require "key" !key;
-    m_snapshot = require "snapshot" !snapshot;
+    m_kind = kind;
+    m_path = path;
+    m_key;
+    m_snapshot;
     m_config = List.rev !config;
-    m_nvars = require "nvars" !nvars;
+    m_nvars;
     m_domains = List.rev !domains;
+    m_checksums = List.rev !checksums;
     m_blocks = List.rev !blocks;
     m_relations = List.rev !relations;
-    m_checksums = List.rev !checksums;
     m_certified = !certified;
+    m_index;
+    m_base_snapshot;
+    m_prev_snapshot;
+    m_deltas = List.rev !deltas;
   }
+
+(* --- Writing: the steps [save] and [save_delta] share --- *)
+
+let check_config fn config =
+  List.iter
+    (fun (k, v) ->
+      check_name "config" k;
+      if String.contains v '\n' then invalid_arg (fn ^ ": config value contains newline"))
+    config
+
+(* A domain's element-name map file, one name per line ([None] when
+   the domain has no names).  Rendered up front, like every data
+   file, so the checksum a manifest records is over the exact bytes
+   written. *)
+let render_map d =
+  Option.map
+    (fun names ->
+      let b = Buffer.create 1024 in
+      for i = 0 to Domain.size d - 1 do
+        Buffer.add_string b names.(i);
+        Buffer.add_char b '\n'
+      done;
+      Buffer.contents b)
+    (Domain.element_names d)
+
+let checksum (file, content) = (file, String.length content, Crc32.string content)
+
+let blocks_of space =
+  List.concat_map
+    (fun d ->
+      List.map (fun (b : Space.block) -> (Domain.name d, b.Space.instance, b.Space.bits)) (Space.instances space d))
+    (Space.domains space)
+
+(* Monotonic per-directory save counter: the follower swap protocol
+   distinguishes "same key, re-saved" (snapshot bumps) from "nothing
+   changed" (identical key and snapshot).  The next value is one past
+   the largest of [floor], the serial file and the manifest's own line
+   (for stores predating the serial file), and it is committed durably
+   to the serial file before anything else is written — so a save torn
+   at any later crash point cannot make the counter go backwards. *)
+let alloc_snapshot dir ~floor =
+  let prev =
+    List.fold_left
+      (fun acc o -> match o with Some n -> max acc n | None -> acc)
+      floor
+      [ read_serial (serial_path dir); scan_snapshot (manifest_path dir) ]
+  in
+  write_atomic (serial_path dir) (string_of_int (prev + 1) ^ "\n");
+  prev + 1
+
+let save ~dir ~key ~config ~space ~relations =
+  List.iter
+    (fun r ->
+      check_name "relation" (Relation.name r);
+      if Relation.space r != space then invalid_arg "Store.save: relation from a different space")
+    relations;
+  let names = List.map Relation.name relations in
+  if List.length (List.sort_uniq compare names) <> List.length names then
+    invalid_arg "Store.save: duplicate relation names";
+  check_config "Store.save" config;
+  let doms = Space.domains space in
+  List.iter (fun d -> check_name "domain" (Domain.name d)) doms;
+  let maps = List.filter_map (fun d -> Option.map (fun m -> (Domain.name d, m)) (render_map d)) doms in
+  let dump = Bdd.serialize (Space.man space) (List.map Relation.bdd relations) in
+  let mpath = manifest_path dir in
+  mkdir_p (subdir dir);
+  let snapshot = alloc_snapshot dir ~floor:0 in
+  let manifest =
+    render
+      {
+        (blank Base mpath) with
+        m_key = key;
+        m_snapshot = snapshot;
+        m_config = config;
+        m_nvars = Space.num_vars space;
+        m_domains = List.map (fun d -> (Domain.name d, Domain.size d, Domain.element_names d <> None)) doms;
+        m_checksums = List.map checksum ((bdd_file, dump) :: List.map (fun (dn, m) -> (map_file dn, m)) maps);
+        m_blocks = blocks_of space;
+        m_relations =
+          List.map
+            (fun r ->
+              ( Relation.name r,
+                List.map
+                  (fun (a : Relation.attr) ->
+                    (a.Relation.attr_name, Domain.name a.Relation.block.Space.dom, a.Relation.block.Space.instance))
+                  (Relation.attrs r) ))
+            relations;
+      }
+  in
+  (* Invalidate any previous store before touching its data files, and
+     make the invalidation durable: a crash after this point must read
+     as "no store", never as the old manifest over new data files. *)
+  if Sys.file_exists mpath then begin
+    Faults.fs_op ("remove " ^ mpath);
+    (try Sys.remove mpath with Sys_error _ -> ());
+    Faults.fs_op ("fsync-dir " ^ subdir dir);
+    fsync_dir (subdir dir)
+  end;
+  List.iter (fun (dn, content) -> write_atomic (map_path dir dn) content) maps;
+  write_atomic (bdd_path dir) dump;
+  (* Manifest written last = the commit point of the whole store. *)
+  write_atomic mpath manifest;
+  (* The new base orphans any delta chain the directory carried (its
+     layers name the previous base's snapshot); reclaim the files. *)
+  remove_layer_files dir
 
 let exists ~dir = Sys.file_exists (manifest_path dir)
 
-(* --- Layer manifests and the chain walk --- *)
+(* --- The chain: one reader for every caller --- *)
 
-type layer = {
-  l_index : int;
-  l_key : string; (* content key of the chain up to and including this layer *)
-  l_snapshot : int;
-  l_base_snapshot : int; (* the base save this layer extends *)
-  l_prev_snapshot : int; (* the element directly below (base or layer n-1) *)
-  l_config : (string * string) list;
-  l_nvars : int;
-  l_domains : (string * int * bool) list; (* name, final size, carries replacement map *)
-  l_deltas : string list; (* relation names; dump roots are (added, removed) pairs in this order *)
-  l_checksums : (string * int * int) list;
-}
-
-let parse_layer_manifest path =
-  let lines = read_lines path in
-  let int_field ~line what s =
-    match int_of_string_opt s with
-    | Some v when v >= 0 -> v
-    | Some _ | None -> bad ~path ~line "%s: not a non-negative integer: %s" what s
-  in
-  (match lines with
-  | first :: _ when first = Printf.sprintf "whalelam-layer %d" layer_format_version -> ()
-  | first :: _ -> bad ~path ~line:1 "unsupported layer format: %s" first
-  | [] -> bad ~path ~line:1 "empty layer manifest");
-  (match List.rev lines with
-  | "end" :: _ -> ()
-  | _ -> bad ~path ~line:(List.length lines) "missing end trailer (truncated layer manifest)");
-  verify_selfsum path lines;
-  let index = ref None
-  and key = ref None
-  and snapshot = ref None
-  and base_snapshot = ref None
-  and prev_snapshot = ref None
-  and config = ref []
-  and nvars = ref None
-  and domains = ref []
-  and deltas = ref []
-  and checksums = ref [] in
-  List.iteri
-    (fun i line ->
-      let line_no = i + 1 in
-      if i > 0 && line <> "end" then
-        match split_ws line with
-        | [ "layer"; n ] -> index := Some (int_field ~line:line_no "layer" n)
-        | [ "key"; k ] -> key := Some k
-        | [ "snapshot"; n ] -> snapshot := Some (int_field ~line:line_no "snapshot" n)
-        | [ "base-snapshot"; n ] -> base_snapshot := Some (int_field ~line:line_no "base-snapshot" n)
-        | [ "prev-snapshot"; n ] -> prev_snapshot := Some (int_field ~line:line_no "prev-snapshot" n)
-        | "config" :: k :: _ ->
-          let prefix = "config " ^ k ^ " " in
-          let v =
-            if String.length line >= String.length prefix then
-              String.sub line (String.length prefix) (String.length line - String.length prefix)
-            else ""
-          in
-          config := (k, v) :: !config
-        | [ "nvars"; n ] -> nvars := Some (int_field ~line:line_no "nvars" n)
-        | [ "domain"; name; size; mapped ] ->
-          domains := (name, int_field ~line:line_no "domain size" size, mapped = "1") :: !domains
-        | [ "delta"; rname ] -> deltas := rname :: !deltas
-        | [ "checksum"; file; size; crc ] -> (
-          match Crc32.of_hex crc with
-          | Some c -> checksums := (file, int_field ~line:line_no "checksum size" size, c) :: !checksums
-          | None -> bad ~path ~line:line_no "malformed checksum value %s" crc)
-        | [ "selfsum"; _ ] -> ()
-        | _ -> bad ~path ~line:line_no "unrecognized layer manifest line: %s" line)
-    lines;
-  let require what = function
-    | Some v -> v
-    | None -> bad ~path ~line:0 "layer manifest is missing its %s line" what
-  in
-  {
-    l_index = require "layer" !index;
-    l_key = require "key" !key;
-    l_snapshot = require "snapshot" !snapshot;
-    l_base_snapshot = require "base-snapshot" !base_snapshot;
-    l_prev_snapshot = require "prev-snapshot" !prev_snapshot;
-    l_config = List.rev !config;
-    l_nvars = require "nvars" !nvars;
-    l_domains = List.rev !domains;
-    l_deltas = List.rev !deltas;
-    l_checksums = List.rev !checksums;
-  }
+type chain = { c_base : manifest; c_layers : manifest list (* bottom-up *) }
 
 (* Walk the committed chain above a base manifest.  The walk stops
    cleanly at the first missing layer manifest (a torn [save_delta]
@@ -556,69 +545,57 @@ let read_chain dir (m : manifest) =
     let path = layer_manifest_path dir n in
     if not (Sys.file_exists path) then (List.rev acc, None)
     else
-      match parse_layer_manifest path with
+      match parse_manifest Layer path with
       | exception Solver_error.Error e -> (List.rev acc, Some (n, Solver_error.to_string e))
       | l ->
-        if l.l_base_snapshot <> m.m_snapshot then (List.rev acc, None) (* orphan: ignore *)
-        else if l.l_index <> n then
-          (List.rev acc, Some (n, Printf.sprintf "%s: layer line says %d, file name says %d" path l.l_index n))
-        else if l.l_prev_snapshot <> prev then
+        if l.m_base_snapshot <> m.m_snapshot then (List.rev acc, None) (* orphan: ignore *)
+        else if l.m_index <> n then
+          (List.rev acc, Some (n, Printf.sprintf "%s: layer line says %d, file name says %d" path l.m_index n))
+        else if l.m_prev_snapshot <> prev then
           ( List.rev acc,
             Some
               ( n,
                 Printf.sprintf "%s: prev-snapshot %d does not match the element below (snapshot %d)" path
-                  l.l_prev_snapshot prev ) )
-        else go (n + 1) l.l_snapshot (l :: acc)
+                  l.m_prev_snapshot prev ) )
+        else go (n + 1) l.m_snapshot (l :: acc)
   in
   go 1 m.m_snapshot []
 
-(* The identity and config of the chain tip: the last committed layer,
-   or the base itself when there is none. *)
-let tip_of_chain (m : manifest) layers =
-  match List.rev layers with
-  | [] -> (m.m_key, m.m_snapshot, m.m_config)
-  | l :: _ -> (l.l_key, l.l_snapshot, l.l_config)
+(* The committed chain at [dir]: a missing store, an unparsable base
+   manifest or a corrupt committed layer raises [Bad_input] ([broken]
+   prefixes the last). *)
+let open_chain ~broken dir =
+  let mpath = manifest_path dir in
+  if not (Sys.file_exists mpath) then bad ~path:mpath ~line:0 "no store at %s" dir;
+  let base = parse_manifest Base mpath in
+  match read_chain dir base with
+  | layers, None -> { c_base = base; c_layers = layers }
+  | _, Some (n, msg) -> bad ~path:(layer_manifest_path dir n) ~line:0 "%s: %s" broken msg
 
-let read_key ~dir =
-  if not (exists ~dir) then None
-  else
-    match parse_manifest (manifest_path dir) with
-    | m -> (
-      match read_chain dir m with
-      | _, Some _ -> None
-      | layers, None ->
-        let k, _, _ = tip_of_chain m layers in
-        Some k)
-    | exception Solver_error.Error _ -> None
+(* The chain tip — the last committed layer, or the base itself — whose
+   key, snapshot and config describe the whole chain. *)
+let tip c = match List.rev c.c_layers with [] -> c.c_base | l :: _ -> l
 
-(* The (key, snapshot) pair is the identity followers watch: equal
-   pairs mean the same committed chain tip.  Chain-aware, so a base
-   that has since been extended by [save_delta] can never masquerade
-   as current: the tip's key and snapshot are returned, and a corrupt
-   (not merely torn) chain reads as no identity at all. *)
-let read_ident ~dir =
-  if not (exists ~dir) then None
-  else
-    match parse_manifest (manifest_path dir) with
-    | m -> (
-      match read_chain dir m with
-      | _, Some _ -> None
-      | layers, None ->
-        let k, s, _ = tip_of_chain m layers in
-        Some (k, s))
-    | exception Solver_error.Error _ -> None
+(* Where domain [name]'s element names live: the topmost layer that
+   carries a replacement map (an edit grew or renamed the domain), else
+   the base.  Returns the vouching manifest and the map's file name. *)
+let map_source c name =
+  match
+    List.find_opt (fun l -> List.exists (fun (n, _, carries) -> n = name && carries) l.m_domains) (List.rev c.c_layers)
+  with
+  | Some l -> (l, layer_map_file l.m_index name)
+  | None -> (c.c_base, map_file name)
 
-let read_snapshot ~dir = Option.map snd (read_ident ~dir)
+type tip = { key : string; snapshot : int; layers : int }
 
-let read_layers ~dir =
-  if not (exists ~dir) then None
-  else
-    match parse_manifest (manifest_path dir) with
-    | m -> (
-      match read_chain dir m with
-      | _, Some _ -> None
-      | layers, None -> Some (List.length layers))
-    | exception Solver_error.Error _ -> None
+let read_tip ~dir =
+  match open_chain ~broken:"broken delta chain" dir with
+  | c ->
+    let m = tip c in
+    Some { key = m.m_key; snapshot = m.m_snapshot; layers = List.length c.c_layers }
+  | exception Solver_error.Error _ -> None
+
+let read_layers ~dir = Option.map (fun t -> t.layers) (read_tip ~dir)
 
 (* Stat triples (inode, mtime, size) of the base manifest followed by
    every consecutive layer manifest on disk: the cheap
@@ -642,31 +619,27 @@ let tip_stat ~dir =
     in
     go 1 [ base ]
 
+(* --- Loading --- *)
+
 let read_file path =
   let ic = try open_in_bin path with Sys_error msg -> bad ~path ~line:0 "%s" msg in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Read a data file and verify it against its manifest's recorded size
-   and CRC-32 before a single byte of it is interpreted.  [mpath] is
-   the manifest (base or layer) whose [checksums] vouch for the file. *)
-let verified_read_in ~mpath ~checksums dir file =
+(* Read one data file and verify it against the size and CRC-32 its
+   manifest records, before a single byte of it is interpreted. *)
+let verified_read dir (file, size, crc) =
   let path = Filename.concat (subdir dir) file in
-  match List.find_opt (fun (f, _, _) -> f = file) checksums with
-  | None -> bad ~path:mpath ~line:0 "no checksum recorded for %s" file
-  | Some (_, size, crc) ->
-    let data = read_file path in
-    if String.length data <> size then
-      bad ~path ~line:0 "size mismatch: manifest says %d bytes, file has %d (corrupt or torn write)" size
-        (String.length data);
-    let actual = Crc32.string data in
-    if actual <> crc then
-      bad ~path ~line:0 "checksum mismatch: manifest says crc32 %s, content is %s (corrupt store)"
-        (Crc32.to_hex crc) (Crc32.to_hex actual);
-    data
-
-let verified_read ~mpath m dir file = verified_read_in ~mpath ~checksums:m.m_checksums dir file
+  let data = read_file path in
+  if String.length data <> size then
+    bad ~path ~line:0 "size mismatch: manifest says %d bytes, file has %d (corrupt or torn write)" size
+      (String.length data);
+  let actual = Crc32.string data in
+  if actual <> crc then
+    bad ~path ~line:0 "checksum mismatch: manifest says crc32 %s, content is %s (corrupt store)" (Crc32.to_hex crc)
+      (Crc32.to_hex actual);
+  data
 
 let lines_of_string s =
   match List.rev (String.split_on_char '\n' s) with
@@ -674,44 +647,30 @@ let lines_of_string s =
   | _ -> String.split_on_char '\n' s
 
 let load_with ?page_bits ?mem_cap_bytes ~dir () =
-  let mpath = manifest_path dir in
-  if not (Sys.file_exists mpath) then bad ~path:mpath ~line:0 "no store at %s" dir;
-  let m = parse_manifest mpath in
-  let layers =
-    match read_chain dir m with
-    | layers, None -> layers
-    | _, Some (n, msg) -> bad ~path:(layer_manifest_path dir n) ~line:0 "broken delta chain: %s" msg
+  let c = open_chain ~broken:"broken delta chain" dir in
+  let base = c.c_base and top = tip c in
+  (* Every file any manifest of the chain checksums — superseded maps
+     included — is read once and verified here, before any of it is
+     interpreted: a load vouches for exactly the bytes [verify]
+     checks. *)
+  let files = Hashtbl.create 16 in
+  List.iter
+    (fun m -> List.iter (fun ((file, _, _) as ck) -> Hashtbl.replace files file (verified_read dir ck)) m.m_checksums)
+    (base :: c.c_layers);
+  let data m file =
+    match Hashtbl.find_opt files file with
+    | Some d -> d
+    | None -> bad ~path:m.m_path ~line:0 "no checksum recorded for %s" file
   in
-  let tip_key, tip_snapshot, tip_config = tip_of_chain m layers in
   (* Domains are created at their {e final} sizes (the tip's domain
-     lines), and each mapped domain's element names come from the
-     {e latest} element that carries a replacement map — the base, or
-     the topmost layer whose edit grew or renamed the domain. *)
+     lines), with each mapped domain's names from its {!map_source}. *)
   let final_domains =
-    match List.rev layers with
-    | [] -> m.m_domains
-    | top :: _ ->
-      List.map
-        (fun (name, _, base_mapped) ->
-          match List.find_opt (fun (n, _, _) -> n = name) top.l_domains with
-          | Some (_, final_size, _) -> (name, final_size, base_mapped)
-          | None ->
-            bad ~path:(layer_manifest_path dir top.l_index) ~line:0 "layer %d is missing domain %s" top.l_index
-              name)
-        m.m_domains
-  in
-  let map_names name =
-    (* Topmost provider wins. *)
-    let rec from_layers = function
-      | [] -> lines_of_string (verified_read ~mpath m dir (map_file name))
-      | l :: below ->
-        if List.exists (fun (n, _, carries) -> n = name && carries) l.l_domains then
-          lines_of_string
-            (verified_read_in ~mpath:(layer_manifest_path dir l.l_index) ~checksums:l.l_checksums dir
-               (layer_map_file l.l_index name))
-        else from_layers below
-    in
-    from_layers (List.rev layers)
+    List.map
+      (fun (name, _, mapped) ->
+        match List.find_opt (fun (n, _, _) -> n = name) top.m_domains with
+        | Some (_, final_size, _) -> (name, final_size, mapped)
+        | None -> bad ~path:top.m_path ~line:0 "layer %d is missing domain %s" top.m_index name)
+      base.m_domains
   in
   (* A capped load spills under the store's own directory (the scratch
      file is lazily created, not in the manifest, and ignored by
@@ -728,10 +687,12 @@ let load_with ?page_bits ?mem_cap_bytes ~dir () =
         let element_names =
           if not mapped then None
           else begin
-            let names = Array.of_list (map_names name) in
+            let m, file = map_source c name in
+            let names = Array.of_list (lines_of_string (data m file)) in
             if Array.length names < size then
-              bad ~path:(map_path dir name) ~line:(Array.length names) "map has %d entries, domain %s needs %d"
-                (Array.length names) name size;
+              bad
+                ~path:(Filename.concat (subdir dir) file)
+                ~line:(Array.length names) "map has %d entries, domain %s needs %d" (Array.length names) name size;
             Some names
           end
         in
@@ -741,7 +702,7 @@ let load_with ?page_bits ?mem_cap_bytes ~dir () =
   let find_domain ~line name =
     match List.assoc_opt name domains with
     | Some d -> d
-    | None -> bad ~path:mpath ~line "unknown domain %s" name
+    | None -> bad ~path:base.m_path ~line "unknown domain %s" name
   in
   let blocks = Hashtbl.create 16 in
   List.iter
@@ -749,13 +710,13 @@ let load_with ?page_bits ?mem_cap_bytes ~dir () =
       let d = find_domain ~line:0 dname in
       let b =
         try Space.restore_block space d ~instance ~bits
-        with Invalid_argument msg -> bad ~path:mpath ~line:0 "%s" msg
+        with Invalid_argument msg -> bad ~path:base.m_path ~line:0 "%s" msg
       in
       Hashtbl.replace blocks (dname, instance) b)
-    m.m_blocks;
-  if Space.num_vars space > m.m_nvars then
-    bad ~path:mpath ~line:0 "blocks use %d variables but nvars says %d" (Space.num_vars space) m.m_nvars;
-  Bdd.extend_vars (Space.man space) (List.fold_left (fun acc l -> max acc l.l_nvars) m.m_nvars layers);
+    base.m_blocks;
+  if Space.num_vars space > base.m_nvars then
+    bad ~path:base.m_path ~line:0 "blocks use %d variables but nvars says %d" (Space.num_vars space) base.m_nvars;
+  Bdd.extend_vars (Space.man space) (List.fold_left (fun acc l -> max acc l.m_nvars) base.m_nvars c.c_layers);
   let rels =
     List.map
       (fun (rname, attr_specs) ->
@@ -764,14 +725,14 @@ let load_with ?page_bits ?mem_cap_bytes ~dir () =
             (fun (aname, dname, instance) ->
               match Hashtbl.find_opt blocks (dname, instance) with
               | Some b -> { Relation.attr_name = aname; block = b }
-              | None -> bad ~path:mpath ~line:0 "relation %s: no block %s#%d" rname dname instance)
+              | None -> bad ~path:base.m_path ~line:0 "relation %s: no block %s#%d" rname dname instance)
             attr_specs
         in
         (rname, Relation.make space ~name:rname attrs))
-      m.m_relations
+      base.m_relations
   in
   let bpath = bdd_path dir in
-  let roots = Bdd.deserialize ~source:bpath (Space.man space) (verified_read ~mpath m dir bdd_file) in
+  let roots = Bdd.deserialize ~source:bpath (Space.man space) (data base bdd_file) in
   if List.length roots <> List.length rels then
     bad ~path:bpath ~line:0 "dump has %d roots, manifest lists %d relations" (List.length roots)
       (List.length rels);
@@ -781,38 +742,37 @@ let load_with ?page_bits ?mem_cap_bytes ~dir () =
   let man = Space.man space in
   List.iter
     (fun l ->
-      let lmpath = layer_manifest_path dir l.l_index in
-      let data = verified_read_in ~mpath:lmpath ~checksums:l.l_checksums dir (layer_bdd_file l.l_index) in
-      let lpath = Filename.concat (subdir dir) (layer_bdd_file l.l_index) in
-      let roots = Bdd.deserialize ~source:lpath man data in
-      if List.length roots <> 2 * List.length l.l_deltas then
+      let lpath = Filename.concat (subdir dir) (layer_bdd_file l.m_index) in
+      let roots = Bdd.deserialize ~source:lpath man (data l (layer_bdd_file l.m_index)) in
+      if List.length roots <> 2 * List.length l.m_deltas then
         bad ~path:lpath ~line:0 "layer dump has %d roots, manifest lists %d delta relations" (List.length roots)
-          (List.length l.l_deltas);
+          (List.length l.m_deltas);
       let rec fold names roots =
         match (names, roots) with
         | [], [] -> ()
         | name :: names, added :: removed :: roots ->
           (match List.assoc_opt name rels with
-          | None -> bad ~path:lmpath ~line:0 "layer %d: delta for unknown relation %s" l.l_index name
+          | None -> bad ~path:l.m_path ~line:0 "layer %d: delta for unknown relation %s" l.m_index name
           | Some r -> Relation.set_bdd r (Bdd.mk_or man (Bdd.mk_diff man (Relation.bdd r) removed) added));
           fold names roots
-        | _ -> bad ~path:lpath ~line:0 "layer %d: root/delta count mismatch" l.l_index
+        | _ -> bad ~path:lpath ~line:0 "layer %d: root/delta count mismatch" l.m_index
       in
-      fold l.l_deltas roots)
-    layers;
+      fold l.m_deltas roots)
+    c.c_layers;
   {
-    st_key = tip_key;
-    st_snapshot = tip_snapshot;
-    st_config = tip_config;
+    st_key = top.m_key;
+    st_snapshot = top.m_snapshot;
+    st_config = top.m_config;
     st_space = space;
     st_domains = domains;
     st_rels = rels;
-    st_layers = List.length layers;
+    st_layers = List.length c.c_layers;
+    st_certified = base.m_certified = Some (top.m_key, top.m_snapshot);
   }
 
-(* --- Delta layers: append and squash --- *)
-
 let load ~dir = load_with ~dir ()
+
+(* --- Delta layers: append and squash --- *)
 
 (* Append one delta layer to the chain at [dir].  The layer is
    committed exactly like a base save: serial first (so the snapshot
@@ -820,118 +780,63 @@ let load ~dir = load_with ~dir ()
    last — its rename is the commit point, and a crash anywhere earlier
    leaves the previous chain tip serving unchanged. *)
 let save_delta ~dir ~key ~config ~space ~deltas =
-  let mpath = manifest_path dir in
-  if not (Sys.file_exists mpath) then
-    invalid_arg (Printf.sprintf "Store.save_delta: no base store at %s" dir);
-  let m = parse_manifest mpath in
-  let layers =
-    match read_chain dir m with
-    | layers, None -> layers
-    | _, Some (n, msg) ->
-      bad ~path:(layer_manifest_path dir n) ~line:0 "cannot append to a broken delta chain: %s" msg
-  in
+  if not (exists ~dir) then invalid_arg (Printf.sprintf "Store.save_delta: no base store at %s" dir);
+  let c = open_chain ~broken:"cannot append to a broken delta chain" dir in
+  let base = c.c_base in
   (* The layer's BDDs only mean anything under the base's variable
      layout; refuse to append across a layout change. *)
-  let doms = Space.domains space in
-  let space_blocks =
-    List.concat_map
-      (fun d ->
-        List.map (fun (b : Space.block) -> (Domain.name d, b.Space.instance, b.Space.bits)) (Space.instances space d))
-      doms
-  in
+  let space_blocks = blocks_of space in
   let block_eq (n1, i1, b1) (n2, i2, b2) = n1 = n2 && i1 = i2 && b1 = b2 in
   if
-    List.length space_blocks <> List.length m.m_blocks
-    || not (List.for_all (fun sb -> List.exists (block_eq sb) m.m_blocks) space_blocks)
+    List.length space_blocks <> List.length base.m_blocks
+    || not (List.for_all (fun sb -> List.exists (block_eq sb) base.m_blocks) space_blocks)
   then invalid_arg "Store.save_delta: variable layout differs from the base store (cold save required)";
   List.iter
     (fun (name, _, _) ->
       check_name "relation" name;
-      if not (List.mem_assoc name m.m_relations) then
+      if not (List.mem_assoc name base.m_relations) then
         invalid_arg (Printf.sprintf "Store.save_delta: relation %s is not in the base store" name))
     deltas;
-  List.iter
-    (fun (k, v) ->
-      check_name "config" k;
-      if String.contains v '\n' then invalid_arg "Store.save_delta: config value contains newline")
-    config;
-  let n = List.length layers + 1 in
+  check_config "Store.save_delta" config;
+  let n = List.length c.c_layers + 1 in
   (* Element-name maps: a layer carries a replacement map for a domain
      only when the rendered content differs from what the chain below
-     already provides (detected by CRC against the latest provider's
+     already provides (detected by CRC against its {!map_source}'s
      recorded checksum) — growth or renames write a full new map,
      untouched domains write nothing. *)
   let current_map_crc name =
-    let rec from_layers = function
-      | [] ->
-        List.find_map
-          (fun (f, _, crc) -> if f = map_file name then Some crc else None)
-          m.m_checksums
-      | l :: below ->
-        if List.exists (fun (dn, _, carries) -> dn = name && carries) l.l_domains then
-          List.find_map
-            (fun (f, _, crc) -> if f = layer_map_file l.l_index name then Some crc else None)
-            l.l_checksums
-        else from_layers below
-    in
-    from_layers (List.rev layers)
+    let m, file = map_source c name in
+    List.find_map (fun (f, _, crc) -> if f = file then Some crc else None) m.m_checksums
   in
+  let doms = Space.domains space in
   let maps =
     List.filter_map
       (fun d ->
-        match Domain.element_names d with
-        | None -> None
-        | Some names ->
-          let b = Buffer.create 1024 in
-          for i = 0 to Domain.size d - 1 do
-            Buffer.add_string b names.(i);
-            Buffer.add_char b '\n'
-          done;
-          let content = Buffer.contents b in
-          if current_map_crc (Domain.name d) = Some (Crc32.string content) then None
-          else Some (Domain.name d, content))
+        match render_map d with
+        | Some content when current_map_crc (Domain.name d) <> Some (Crc32.string content) ->
+          Some (Domain.name d, content)
+        | Some _ | None -> None)
       doms
   in
   let dump = Bdd.serialize (Space.man space) (List.concat_map (fun (_, a, r) -> [ a; r ]) deltas) in
-  let checksums =
-    (layer_bdd_file n, String.length dump, Crc32.string dump)
-    :: List.map (fun (dn, content) -> (layer_map_file n dn, String.length content, Crc32.string content)) maps
-  in
-  let prev_snapshot =
-    match List.rev layers with [] -> m.m_snapshot | l :: _ -> l.l_snapshot
-  in
-  let snapshot =
-    let prev =
-      List.fold_left
-        (fun acc o -> match o with Some x -> max acc x | None -> acc)
-        prev_snapshot
-        [ read_serial (serial_path dir); scan_snapshot mpath ]
-    in
-    prev + 1
-  in
-  write_atomic (serial_path dir) (string_of_int snapshot ^ "\n");
+  let prev_snapshot = (tip c).m_snapshot in
+  let snapshot = alloc_snapshot dir ~floor:prev_snapshot in
   let manifest =
-    let b = Buffer.create 1024 in
-    Printf.bprintf b "whalelam-layer %d\n" layer_format_version;
-    Printf.bprintf b "layer %d\n" n;
-    Printf.bprintf b "key %s\n" key;
-    Printf.bprintf b "snapshot %d\n" snapshot;
-    Printf.bprintf b "base-snapshot %d\n" m.m_snapshot;
-    Printf.bprintf b "prev-snapshot %d\n" prev_snapshot;
-    List.iter (fun (k, v) -> Printf.bprintf b "config %s %s\n" k v) config;
-    Printf.bprintf b "nvars %d\n" (Space.num_vars space);
-    List.iter
-      (fun d ->
-        Printf.bprintf b "domain %s %d %d\n" (Domain.name d) (Domain.size d)
-          (if List.mem_assoc (Domain.name d) maps then 1 else 0))
-      doms;
-    List.iter (fun (name, _, _) -> Printf.bprintf b "delta %s\n" name) deltas;
-    List.iter
-      (fun (file, size, crc) -> Printf.bprintf b "checksum %s %d %s\n" file size (Crc32.to_hex crc))
-      checksums;
-    Printf.bprintf b "selfsum %s\n" (Crc32.to_hex (Crc32.string (Buffer.contents b)));
-    Buffer.add_string b "end\n";
-    Buffer.contents b
+    render
+      {
+        (blank Layer (layer_manifest_path dir n)) with
+        m_index = n;
+        m_key = key;
+        m_snapshot = snapshot;
+        m_base_snapshot = base.m_snapshot;
+        m_prev_snapshot = prev_snapshot;
+        m_config = config;
+        m_nvars = Space.num_vars space;
+        m_domains = List.map (fun d -> (Domain.name d, Domain.size d, List.mem_assoc (Domain.name d) maps)) doms;
+        m_deltas = List.map (fun (name, _, _) -> name) deltas;
+        m_checksums =
+          List.map checksum ((layer_bdd_file n, dump) :: List.map (fun (dn, m) -> (layer_map_file n dn, m)) maps);
+      }
   in
   List.iter (fun (dn, content) -> write_atomic (Filename.concat (subdir dir) (layer_map_file n dn)) content) maps;
   write_atomic (Filename.concat (subdir dir) (layer_bdd_file n)) dump;
@@ -963,42 +868,10 @@ let compact ~dir =
    past the recorded one, and [save]/[compact] rewrite the manifest
    without the line.  Returns the recorded pair. *)
 let mark_certified ~dir =
-  let mpath = manifest_path dir in
-  if not (Sys.file_exists mpath) then bad ~path:mpath ~line:0 "no store at %s" dir;
-  let m = parse_manifest mpath in
-  let layers =
-    match read_chain dir m with
-    | layers, None -> layers
-    | _, Some (n, msg) ->
-      bad ~path:(layer_manifest_path dir n) ~line:0 "cannot certify a broken delta chain: %s" msg
-  in
-  let tip_key, tip_snapshot, _ = tip_of_chain m layers in
-  let body =
-    List.filter
-      (fun l ->
-        match split_ws l with
-        | "certified" :: _ | "selfsum" :: _ | [ "end" ] -> false
-        | _ -> true)
-      (read_lines mpath)
-  in
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun l ->
-      Buffer.add_string b l;
-      Buffer.add_char b '\n')
-    body;
-  Printf.bprintf b "certified %s %d\n" tip_key tip_snapshot;
-  Printf.bprintf b "selfsum %s\n" (Crc32.to_hex (Crc32.string (Buffer.contents b)));
-  Buffer.add_string b "end\n";
-  write_atomic mpath (Buffer.contents b);
-  (tip_key, tip_snapshot)
-
-let read_certified ~dir =
-  if not (exists ~dir) then None
-  else
-    match parse_manifest (manifest_path dir) with
-    | m -> m.m_certified
-    | exception Solver_error.Error _ -> None
+  let c = open_chain ~broken:"cannot certify a broken delta chain" dir in
+  let top = tip c in
+  write_atomic c.c_base.m_path (render { c.c_base with m_certified = Some (top.m_key, top.m_snapshot) });
+  (top.m_key, top.m_snapshot)
 
 (* Test-only semantic corruption: delete the first tuple of [relation]
    (or insert an all-zeros tuple when it is empty) and re-save the
@@ -1037,24 +910,27 @@ let corrupt_tuple_for_tests ~dir ~relation =
 
 type check = { chk_name : string; chk_ok : bool; chk_detail : string }
 
-let verify ?(structural = true) ~dir () =
+let verify ~dir =
   let checks = ref [] in
   let push name ok detail = checks := { chk_name = name; chk_ok = ok; chk_detail = detail } :: !checks in
+  let check_files m =
+    List.iter
+      (fun ((file, size, crc) as ck) ->
+        match verified_read dir ck with
+        | exception Solver_error.Error e -> push file false (Solver_error.to_string e)
+        | _ -> push file true (Printf.sprintf "crc32 %s, %d bytes" (Crc32.to_hex crc) size))
+      m.m_checksums
+  in
   let mpath = manifest_path dir in
   if not (Sys.file_exists mpath) then push "manifest" false (Printf.sprintf "no store at %s" dir)
   else begin
-    (match parse_manifest mpath with
+    (match parse_manifest Base mpath with
     | exception Solver_error.Error e -> push "manifest" false (Solver_error.to_string e)
     | m ->
       push "manifest" true
         (Printf.sprintf "key %s, %d relations, %d checksummed files" m.m_key (List.length m.m_relations)
            (List.length m.m_checksums));
-      List.iter
-        (fun (file, _, _) ->
-          match verified_read ~mpath m dir file with
-          | exception Solver_error.Error e -> push file false (Solver_error.to_string e)
-          | data -> push file true (Printf.sprintf "crc32 %s, %d bytes" (Crc32.to_hex (Crc32.string data)) (String.length data)))
-        m.m_checksums;
+      check_files m;
       (* Walk the delta chain: per-layer parse + selfsum, link
          validity, and per-layer data-file checksums.  A broken layer
          condemns only the tail from that index up — the base (and any
@@ -1065,20 +941,9 @@ let verify ?(structural = true) ~dir () =
       let layers, chain_err = read_chain dir m in
       List.iter
         (fun l ->
-          let name = layer_manifest_file l.l_index in
-          push name true
-            (Printf.sprintf "key %s, snapshot %d, %d delta relations" l.l_key l.l_snapshot
-               (List.length l.l_deltas));
-          List.iter
-            (fun (file, _, _) ->
-              match
-                verified_read_in ~mpath:(layer_manifest_path dir l.l_index) ~checksums:l.l_checksums dir file
-              with
-              | exception Solver_error.Error e -> push file false (Solver_error.to_string e)
-              | data ->
-                push file true
-                  (Printf.sprintf "crc32 %s, %d bytes" (Crc32.to_hex (Crc32.string data)) (String.length data)))
-            l.l_checksums)
+          push (layer_manifest_file l.m_index) true
+            (Printf.sprintf "key %s, snapshot %d, %d delta relations" l.m_key l.m_snapshot (List.length l.m_deltas));
+          check_files l)
         layers;
       (match chain_err with
       | Some (n, msg) -> push (layer_manifest_file n) false msg
@@ -1086,18 +951,17 @@ let verify ?(structural = true) ~dir () =
       (* Anything with a layer index beyond the valid chain that is
          not condemned above is orphaned/uncommitted debris. *)
       let chain_end = List.length layers in
-      let broken_at = match chain_err with Some (n, _) -> Some n | None -> None in
       (match Sys.readdir (subdir dir) with
       | exception Sys_error _ -> ()
       | entries ->
         Array.iter
           (fun f ->
             match layer_file_index f with
-            | Some i when i > chain_end && broken_at = None ->
+            | Some i when i > chain_end && chain_err = None ->
               push f true "orphaned or uncommitted layer debris (ignored by load)"
             | _ -> ())
           entries));
-    if structural && List.for_all (fun c -> c.chk_ok) !checks then
+    if List.for_all (fun c -> c.chk_ok) !checks then
       match load ~dir with
       | exception Solver_error.Error e -> push "structural load" false (Solver_error.to_string e)
       | exception e -> push "structural load" false (Printexc.to_string e)
@@ -1184,6 +1048,7 @@ let quarantine_layers ~dir ~from_layer =
 let key t = t.st_key
 let snapshot t = t.st_snapshot
 let layers t = t.st_layers
+let certified t = t.st_certified
 let config t = t.st_config
 let config_value t k = List.assoc_opt k t.st_config
 let space t = t.st_space

@@ -68,7 +68,7 @@ val save_delta :
     removed)] entry describes one relation's change against the
     current chain tip: on {!load} the fold is
     [rel := (rel \ removed) ∪ added], applied base-upward.  [key] and
-    [config] describe the {e new} tip (a subsequent {!read_ident}
+    [config] describe the {e new} tip (a subsequent {!read_tip}
     reports them); [space] must carry the exact variable layout of the
     base store — the BDDs are meaningless under any other layout, and
     a layout change must go through a full {!save}.  Domains may have
@@ -97,42 +97,40 @@ val manifest_path : string -> string
     root [dir] — the single commit point of a save.  Followers [stat]
     it as a cheap has-anything-changed probe before reading. *)
 
-val read_key : dir:string -> string option
-(** The {e chain-tip} key — the topmost delta layer's key, or the base
-    key when no layers exist — so a stale base can never masquerade as
-    the current save.  Reads only manifest headers; [None] when there
-    is no complete, well-formed store at [dir].  Cheap: no BDD load. *)
+type tip = { key : string; snapshot : int; layers : int }
+(** The committed {e chain tip}: the topmost delta layer's key and
+    snapshot (the base's when there are no layers) and the number of
+    layers above the base.  Two equal [(key, snapshot)] pairs describe
+    the same state, so a stale base can never masquerade as the
+    current save. *)
 
-val read_snapshot : dir:string -> int option
-(** The saved snapshot counter (see {!snapshot}); [None] when there is
-    no complete, well-formed store at [dir].  Cheap: no BDD load. *)
-
-val read_ident : dir:string -> (string * int) option
-(** The [(key, snapshot)] identity pair of the committed {e chain tip}
-    at [dir], or [None].  Two equal pairs describe the same state:
-    this is what a follower daemon polls to decide whether to
-    hot-swap.  Chain-aware: after a {!save_delta} the tip's key and
-    snapshot are reported, so a stale base can never masquerade as
-    current; a corrupt (not merely torn) chain reads as [None]. *)
+val read_tip : dir:string -> tip option
+(** The store's one identity reader: parses the base manifest and
+    walks the layer chain once, without reading data files or building
+    BDDs.  [None] when there is no complete, well-formed store at
+    [dir], or when a committed layer is corrupt (not merely torn).
+    This is what [query --store] compares its key against and what a
+    follower polls to decide whether to load. *)
 
 val read_layers : dir:string -> int option
-(** Number of committed delta layers above the base; [None] when there
-    is no well-formed store (or the chain is corrupt). *)
+(** [read_tip]'s layer count. *)
 
 val tip_stat : dir:string -> (int * float * int) list
 (** [stat] triples (inode, mtime, size) of the base manifest followed
     by every consecutive layer manifest — the cheap
     has-anything-changed probe a follower compares between polls
-    before paying for {!read_ident}.  Empty when there is no base
+    before paying for {!read_tip}.  Empty when there is no base
     manifest. *)
 
 val load : dir:string -> t
-(** Rebuild the store into a fresh {!Space}: domains (with element
+(** Rebuild the chain tip into a fresh {!Space}: domains (with element
     names), blocks at their saved variable ids, and every relation
-    BDD-exact.  Every data file's size and CRC-32 are verified against
-    the manifest before it is parsed.  Raises
-    [Solver_error.Error (Bad_input _)] on a missing or malformed
-    store. *)
+    BDD-exact.  The chain is read once: every file that any of its
+    manifests checksums — maps a later layer superseded included — is
+    read once and its size and CRC-32 verified before any file is
+    parsed, so a load that returns has checked the same bytes as
+    {!verify}.  Raises [Solver_error.Error (Bad_input _)] on a missing,
+    malformed or corrupt store. *)
 
 val load_with : ?page_bits:int -> ?mem_cap_bytes:int -> dir:string -> unit -> t
 (** {!load} with node-arena knobs: [page_bits]/[mem_cap_bytes]
@@ -162,10 +160,10 @@ val mark_certified : dir:string -> string * int
     [Solver_error.Error (Bad_input _)] when there is no store or the
     chain is broken. *)
 
-val read_certified : dir:string -> (string * int) option
-(** The recorded certification mark, or [None] when there is none (or
-    no well-formed store).  The tip is certified iff this equals
-    {!read_ident} — callers must compare, not merely test presence. *)
+val certified : t -> bool
+(** The loaded chain carries a certification mark naming its own tip —
+    decided from the same manifests the load read, so a gate on it
+    vouches for exactly the state it serves. *)
 
 val corrupt_tuple_for_tests : dir:string -> relation:string -> unit
 (** {b Test only.}  Inject semantic corruption that byte-level
@@ -185,14 +183,13 @@ type check = {
   chk_detail : string;  (** human-readable outcome (sizes, CRCs, or the error) *)
 }
 
-val verify : ?structural:bool -> dir:string -> unit -> check list
+val verify : dir:string -> check list
 (** Full health check, cheapest first: manifest parse (including its
     selfsum), per-file size + CRC-32, and — only when those pass — a
     complete structural load.  Never raises; a store is healthy iff
-    every {!check} has [chk_ok = true].  The [ptacli store verify]
-    subcommand prints this list.  [~structural:false] skips the final
-    load (manifest + checksums only) — the cheap pre-check a follower
-    runs before committing to a hot-swap load. *)
+    every {!check} has [chk_ok = true].  Unlike {!load}, it reports
+    every failing file rather than the first.  The [ptacli store
+    verify] subcommand prints this list. *)
 
 val quarantine : dir:string -> string option
 (** Move a (presumably broken) store directory aside to

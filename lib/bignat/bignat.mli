@@ -29,7 +29,6 @@ val succ : t -> t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val is_zero : t -> bool
 
 val min : t -> t -> t
 val max : t -> t -> t

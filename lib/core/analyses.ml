@@ -286,25 +286,7 @@ let degradable = function
 
 let vp_pairs ~v ~h ts = List.sort_uniq compare (List.map (fun (t : int array) -> (t.(v), t.(h))) ts)
 
-(* One-rule-application certification of a rung's result (the closure
-   half of {!Certify}).  A violation means the engine that produced the
-   result is broken, not that resources ran out — but the response is
-   the same as exhaustion: record the failure and answer from the next
-   rung, whose independent computation path is unlikely to share the
-   bug.  Budget deadlines can fire mid-check; report them as ordinary
-   exhaustion. *)
-let rung_certification_failure r =
-  match Engine.check_fixpoint ~max_violations:1 r.engine with
-  | [] -> None
-  | { Engine.vio_rule; _ } :: _ ->
-    Some
-      (Solver_error.Internal
-         (Format.asprintf "result failed certification: rule not closed: %a%a" Datalog.Ast.pp_pos_prefix vio_rule
-            Datalog.Ast.pp_rule vio_rule))
-  | exception Bdd.Limit_exceeded reason ->
-    Some (Solver_error.Budget_exhausted { Solver_error.reason; partial_iterations = 0; live_nodes = 0 })
-
-let solve_with_fallback ?(options = Engine.default_options) ?budget ?query ?(certify_rungs = false) fg =
+let solve_with_fallback ?(options = Engine.default_options) ?budget ?query fg =
   (* One budget governs the whole ladder: a deadline is absolute, so
      time spent on a failed precise attempt is not granted again to the
      fallback; node/allocation limits are per-manager and each rung
@@ -318,17 +300,10 @@ let solve_with_fallback ?(options = Engine.default_options) ?budget ?query ?(cer
        then solve context-sensitively (Algorithm 5). *)
     match solve_basic ~options ~algo:Algo3 fg with
     | Error e -> Error e
-    | Ok r3 -> (
-      let ctx = make_context fg ~ie:(ie_tuples r3) in
-      match solve_cs ~options ?query fg ctx with
-      | Ok r -> Ok (r, ctx)
-      | Error e -> Error e)
+    | Ok r3 -> solve_cs ~options ?query fg (make_context fg ~ie:(ie_tuples r3))
   in
-  let certified r = if certify_rungs then rung_certification_failure r else None in
   (* Last rung: union-find, near-linear, no BDDs — effectively immune
-     to the budgets that exhausted the rungs above.  It has no Datalog
-     engine, so [certify_rungs] cannot check it; its unification closure
-     is enforced structurally by {!Steensgaard} itself. *)
+     to the budgets that exhausted the rungs above. *)
   let steens_rung failures =
     let s = Steensgaard.run fg in
     Ok
@@ -336,19 +311,12 @@ let solve_with_fallback ?(options = Engine.default_options) ?budget ?query ?(cer
   in
   let ci_rung failures =
     match solve_basic ~options ?query ~algo:Algo2 fg with
-    | Ok r -> (
-      match certified r with
-      | None -> Ok { rung = Rung_ci; result = Some r; steens = None; vp = vp_pairs ~v:0 ~h:1 (tuples r "vP"); failures }
-      | Some e -> steens_rung (failures @ [ (Rung_ci, e) ]))
+    | Ok r -> Ok { rung = Rung_ci; result = Some r; steens = None; vp = vp_pairs ~v:0 ~h:1 (tuples r "vP"); failures }
     | Error e when degradable e -> steens_rung (failures @ [ (Rung_ci, e) ])
     | Error e -> Error e
   in
   match cs_attempt () with
-  | Ok (r, _ctx) -> (
-    match certified r with
-    | None ->
-      Ok { rung = Rung_cs; result = Some r; steens = None; vp = vp_pairs ~v:1 ~h:2 (tuples r "vPC"); failures = [] }
-    | Some e -> ci_rung [ (Rung_cs, e) ])
+  | Ok r -> Ok { rung = Rung_cs; result = Some r; steens = None; vp = vp_pairs ~v:1 ~h:2 (tuples r "vPC"); failures = [] }
   | Error e when degradable e -> ci_rung [ (Rung_cs, e) ]
   | Error e -> Error e
 

@@ -143,7 +143,6 @@ val solve_with_fallback :
   ?options:Datalog.Engine.options ->
   ?budget:Budget.t ->
   ?query:Programs.query_suffix ->
-  ?certify_rungs:bool ->
   Jir.Factgen.t ->
   (fallback, Solver_error.t) Stdlib.result
 (** Try [Rung_cs] under [budget]; on budget exhaustion retry [Rung_ci],
@@ -151,15 +150,7 @@ val solve_with_fallback :
     (its deadline is absolute; node/allocation limits reset per rung
     because each rung builds a fresh manager).  Only resource
     exhaustion degrades: cancellation, bad input and internal errors
-    are returned as [Error] immediately.
-
-    With [certify_rungs] (default off), each BDD-backed rung's answer
-    is certified before being accepted — one non-committing application
-    of every rule ({!Datalog.Engine.check_fixpoint}); a violation is
-    recorded in [failures] as an [Internal] error naming the unclosed
-    rule, and the ladder degrades to the next rung exactly as if the
-    rung had exhausted its budget.  [Rung_steens] has no Datalog engine
-    and is accepted unchecked. *)
+    are returned as [Error] immediately. *)
 
 (** {2 Result access} *)
 

@@ -1,7 +1,6 @@
 type reason =
   | Live_nodes of { limit : int; actual : int }
   | Allocations of { limit : int; actual : int }
-  | Table_bytes of { limit : int; actual : int }
   | Timeout of { limit_s : float }
   | Iterations of { limit : int }
   | Cancelled
@@ -9,7 +8,6 @@ type reason =
 type t = {
   max_live_nodes : int option;
   max_allocations : int option;
-  max_table_bytes : int option;
   max_iterations : int option;
   timeout_s : float option;
   deadline : float option; (* absolute, fixed at [make] *)
@@ -17,11 +15,10 @@ type t = {
   mutable on_check : (t -> unit) option; (* fault injection; tests only *)
 }
 
-let make ?max_live_nodes ?max_allocations ?max_table_bytes ?max_iterations ?timeout_s () =
+let make ?max_live_nodes ?max_allocations ?max_iterations ?timeout_s () =
   {
     max_live_nodes;
     max_allocations;
-    max_table_bytes;
     max_iterations;
     timeout_s;
     deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout_s;
@@ -33,7 +30,6 @@ let unlimited () = make ()
 
 let max_live_nodes b = b.max_live_nodes
 let max_allocations b = b.max_allocations
-let max_table_bytes b = b.max_table_bytes
 let max_iterations b = b.max_iterations
 let deadline b = b.deadline
 
@@ -60,7 +56,7 @@ let check_interrupt b =
   run_hook b;
   interrupt_after_hook b
 
-let check_nodes b ?(bytes = 0) ~live ~allocs () =
+let check_nodes b ~live ~allocs =
   run_hook b;
   match interrupt_after_hook b with
   | Some r -> Some r
@@ -70,10 +66,7 @@ let check_nodes b ?(bytes = 0) ~live ~allocs () =
     | Some _ | None -> (
       match b.max_allocations with
       | Some limit when allocs > limit -> Some (Allocations { limit; actual = allocs })
-      | Some _ | None -> (
-        match b.max_table_bytes with
-        | Some limit when bytes > limit -> Some (Table_bytes { limit; actual = bytes })
-        | Some _ | None -> None)))
+      | Some _ | None -> None))
 
 let check_iterations b ~iterations =
   run_hook b;
@@ -87,8 +80,6 @@ let check_iterations b ~iterations =
 let reason_to_string = function
   | Live_nodes { limit; actual } -> Printf.sprintf "live BDD nodes %d exceeded the limit of %d" actual limit
   | Allocations { limit; actual } -> Printf.sprintf "BDD node allocations %d exceeded the limit of %d" actual limit
-  | Table_bytes { limit; actual } ->
-    Printf.sprintf "BDD node-table bytes %d exceeded the limit of %d" actual limit
   | Timeout { limit_s } -> Printf.sprintf "wall-clock timeout of %gs exceeded" limit_s
   | Iterations { limit } -> Printf.sprintf "fixpoint iteration limit of %d exceeded" limit
   | Cancelled -> "cancelled"

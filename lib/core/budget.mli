@@ -9,8 +9,8 @@
 
     A budget is shared by every layer of one logical solve: the {!Bdd}
     manager checks the node/allocation/time limits on an amortized
-    schedule inside [mk] (every {!Bdd.budget_check_interval} fresh
-    allocations), and the Datalog engine checks the iteration/time
+    schedule inside [mk] (every 4096 fresh allocations), and the
+    Datalog engine checks the iteration/time
     limits between rule applications.  Exceeding any limit raises
     [Bdd.Limit_exceeded] carrying the {!reason}, which
     [Datalog.Engine.solve] converts into a structured
@@ -32,15 +32,10 @@
 type reason =
   | Live_nodes of { limit : int; actual : int }
       (** live BDD nodes exceeded [max_live_nodes] (checked every
-          {!Bdd.budget_check_interval} allocations, so the actual count
-          can overshoot the limit by at most that interval) *)
+          4096 allocations, so the actual count can overshoot the
+          limit by at most that interval) *)
   | Allocations of { limit : int; actual : int }
       (** total fresh-node allocations exceeded [max_allocations] *)
-  | Table_bytes of { limit : int; actual : int }
-      (** total BDD node-table bytes (resident plus spilled arena
-          pages) exceeded [max_table_bytes] — the paged-arena analogue
-          of [max_live_nodes], checked on the same amortized
-          schedule *)
   | Timeout of { limit_s : float }  (** wall-clock deadline passed *)
   | Iterations of { limit : int }  (** fixpoint round limit reached *)
   | Cancelled  (** {!cancel} was called *)
@@ -50,7 +45,6 @@ type t
 val make :
   ?max_live_nodes:int ->
   ?max_allocations:int ->
-  ?max_table_bytes:int ->
   ?max_iterations:int ->
   ?timeout_s:float ->
   unit ->
@@ -63,7 +57,6 @@ val unlimited : unit -> t
 
 val max_live_nodes : t -> int option
 val max_allocations : t -> int option
-val max_table_bytes : t -> int option
 val max_iterations : t -> int option
 val deadline : t -> float option
 (** Absolute [Unix.gettimeofday] deadline, if a timeout was set. *)
@@ -85,11 +78,9 @@ val check_interrupt : t -> reason option
 (** Cancellation and deadline only — the per-rule-application check in
     the Datalog engine. *)
 
-val check_nodes : t -> ?bytes:int -> live:int -> allocs:int -> unit -> reason option
-(** Interrupts plus the node-count, allocation and node-table-byte
-    limits — the amortized check inside [Bdd.mk].  [bytes] is the
-    total arena size (resident plus spilled pages); it defaults to 0,
-    which never trips the byte limit. *)
+val check_nodes : t -> live:int -> allocs:int -> reason option
+(** Interrupts plus the node-count and allocation limits — the
+    amortized check inside [Bdd.mk]. *)
 
 val check_iterations : t -> iterations:int -> reason option
 (** Interrupts plus the fixpoint-round limit — checked by the engine
@@ -104,8 +95,5 @@ val check_iterations : t -> iterations:int -> reason option
     Production code never sets a hook. *)
 
 val set_check_hook : t -> (t -> unit) option -> unit
-val run_hook : t -> unit
-(** Run the hook if any (exposed for checkers living outside this
-    module; the [check_*] functions call it themselves). *)
 
 val reason_to_string : reason -> string

@@ -4,7 +4,7 @@
 
     - {b Budget checks} work through {!Budget.set_check_hook}: the hook
       fires at the start of every amortized budget check — inside
-      [Bdd.mk] every [Bdd.budget_check_interval] fresh allocations, and
+      [Bdd.mk] every 4096 fresh allocations, and
       in the Datalog engine between rule applications and at the top of
       each fixpoint round — so faults land at exactly the points where
       a real limit violation would be observed.

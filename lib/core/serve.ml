@@ -548,18 +548,22 @@ end
    the single commit point of a save, always renamed into place, so
    any new save changes its (inode, mtime, size) triple — and does no
    file reads when the triple is unchanged.  On a triple change the
-   (key, snapshot) identity pair is read from the manifest and
+   chain tip's (key, snapshot) identity is read ([Store.read_tip]) and
    compared with what is currently served; only a genuinely different
-   save proceeds to verification and load.
+   save proceeds to the load.
 
    Swap protocol, per candidate:
 
-     verify (manifest + checksums, no structural load)
-       -> load (itself CRC- and structure-checked)
+     load (reads and CRC-checks every file of the chain once)
+       -> certification gate (require-certified only: the mark must
+          name the tip that was loaded)
        -> make (project + freeze)
        -> Source.swap
 
-   Any failure — torn manifest, checksum mismatch, structural error —
+   The gate and the reported identity are both taken from the loaded
+   store, so a save that commits between the identity read and the
+   load is gated (and reported) as what it is.  Any failure — torn
+   manifest, checksum mismatch, structural error, missing mark —
    yields [Rejected] and the old snapshot keeps serving; the failed
    disk state's stat triple is remembered so one broken save is
    reported once, not every poll tick.  A later, complete save changes
@@ -610,35 +614,33 @@ module Follow = struct
     let stat = manifest_stat st.f_dir in
     if stat = st.f_stat then Unchanged
     else
-      match Store.read_ident ~dir:st.f_dir with
+      match Store.read_tip ~dir:st.f_dir with
       | None -> reject st stat "manifest missing or unreadable (save in progress or torn?)"
-      | Some ident when ident = st.f_seen ->
+      | Some tip when (tip.Store.key, tip.Store.snapshot) = st.f_seen ->
         (* Same save re-examined (e.g. the manifest was touched):
            nothing to do. *)
         st.f_stat <- stat;
         Unchanged
-      | Some (key, snapshot) when st.f_require_certified && Store.read_certified ~dir:st.f_dir <> Some (key, snapshot)
-        ->
-        (* The candidate's identity carries no matching certification
-           mark: the snapshot may be byte-perfect yet semantically
-           wrong (a bad delta fold, a missed remap), which is exactly
-           what this gate exists to keep off the wire.  The old
-           snapshot keeps serving. *)
-        reject st stat
-          (Printf.sprintf "snapshot %d is not certified (require-certified; run `ptacli certify` and retry)" snapshot)
-      | Some (key, snapshot) -> (
+      | Some _ -> (
         let t0 = Unix.gettimeofday () in
-        let checks = Store.verify ~structural:false ~dir:st.f_dir () in
-        match List.find_opt (fun (c : Store.check) -> not c.Store.chk_ok) checks with
-        | Some bad ->
-          reject st stat (Printf.sprintf "%s: %s" bad.Store.chk_name bad.Store.chk_detail)
-        | None -> (
-          match server_of_store (Store.load ~dir:st.f_dir) with
+        match Store.load ~dir:st.f_dir with
+        | exception Solver_error.Error e -> reject st stat (Solver_error.to_string e)
+        | store when st.f_require_certified && not (Store.certified store) ->
+          (* The loaded tip carries no matching certification mark:
+             it may be byte-perfect yet semantically wrong (a bad delta
+             fold, a missed remap), which is exactly what this gate
+             exists to keep off the wire.  The old snapshot keeps
+             serving. *)
+          reject st stat
+            (Printf.sprintf "snapshot %d is not certified (require-certified; run `ptacli certify` and retry)"
+               (Store.snapshot store))
+        | store -> (
+          match server_of_store store with
           | srv ->
             Source.swap st.f_source srv;
-            st.f_seen <- (Store.key srv.store, Store.snapshot srv.store);
+            let key = Store.key store and snapshot = Store.snapshot store in
+            st.f_seen <- (key, snapshot);
             st.f_stat <- stat;
             Swapped { snapshot; key; seconds = Unix.gettimeofday () -. t0 }
-          | exception Solver_error.Error e ->
-            reject st stat (Solver_error.to_string e)))
+          | exception Solver_error.Error e -> reject st stat (Solver_error.to_string e)))
 end

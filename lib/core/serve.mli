@@ -77,8 +77,6 @@ type limits = {
   rq_max_nodes : int option;  (** overlay live-node growth one request may cause *)
 }
 
-val no_limits : limits
-
 (** Counters are atomic and the latency table mutex-guarded: with a
     worker pool, many domains record into one [server_stats] while
     [health]/[stats] read it. *)
@@ -119,7 +117,8 @@ val serve_line : ?limits:limits -> stats:server_stats -> t -> Bdd.man -> string 
     - any other line runs through {!handle} with a fresh
       {!Budget.t} (from [limits], resolved against the overlay's
       current counters) installed on the overlay — exceeding it yields
-      an [err budget] outcome;
+      an [err budget] outcome; without [limits] no budget is
+      installed;
     - a structured loader error yields [err error];
     - any other exception is the firewall case: [err internal] with
       [close = true].
@@ -210,17 +209,18 @@ end
     committed delta-layer manifest ({!Bddrel.Store.tip_stat}) — each
     one is its save's single commit point, so both full saves and
     incremental [save_delta] appends are noticed — then compares the
-    chain-tip [(key, snapshot)] identity before doing any real work; a
-    candidate is verified
-    ({!Bddrel.Store.verify} [~structural:false]) and loaded (itself
-    checksum- and structure-checked) before {!Source.swap} — any
-    failure leaves the old snapshot serving and reports [Rejected]
-    once per distinct broken disk state. *)
+    chain-tip identity ({!Bddrel.Store.read_tip}) with the served one
+    before doing any real work.  A new candidate is loaded (every file
+    of its chain read once and checksum- and structure-checked), gated
+    and frozen before {!Source.swap}; any failure leaves the old
+    snapshot serving and reports [Rejected] once per distinct broken
+    disk state. *)
 module Follow : sig
   type outcome =
     | Unchanged
     | Swapped of { snapshot : int; key : string; seconds : float }
-        (** [seconds] = verify + load + freeze wall time *)
+        (** the identity of the store that was loaded and swapped in;
+            [seconds] = load + freeze wall time *)
     | Rejected of { reason : string }
 
   type state
@@ -229,11 +229,12 @@ module Follow : sig
   (** Start following [dir]; the source's current server is assumed to
       be the store currently on disk there (the driver loads it before
       calling this).  With [require_certified] (default off), a
-      candidate whose identity does not match the store's recorded
-      certification mark ({!Bddrel.Store.read_certified}) is
-      [Rejected] before any verify/load cost is paid, and the old
-      snapshot keeps serving — byte-perfect but semantically
-      unvouched-for saves never reach the wire. *)
+      candidate is swapped in only when the store that was loaded
+      carries a certification mark naming its own tip
+      ({!Bddrel.Store.certified}); otherwise it is [Rejected] and the
+      old snapshot keeps serving — byte-perfect but semantically
+      unvouched-for saves never reach the wire, even when a save
+      commits between the identity read and the load. *)
 
   val served_ident : state -> string * int
   (** The [(key, snapshot)] identity last swapped in (or initial). *)

@@ -68,10 +68,8 @@ val pp_pos : Format.formatter -> pos -> unit
 val pp_pos_prefix : Format.formatter -> rule -> unit
 (** ["file:line: "] when the rule has a position, [""] otherwise. *)
 
-val pp_term : Format.formatter -> term -> unit
 val pp_cmp_op : Format.formatter -> cmp_op -> unit
 val pp_atom : Format.formatter -> atom -> unit
-val pp_literal : Format.formatter -> literal -> unit
 val pp_rule : Format.formatter -> rule -> unit
 val pp_program : Format.formatter -> program -> unit
 (** Prints a program in the concrete syntax accepted by {!Parser}. *)

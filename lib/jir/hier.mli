@@ -11,9 +11,6 @@ val assignable : Ir.t -> Ir.class_id -> Ir.class_id -> bool
     interface [t2] (or an ancestor) implements (§2.3's "allowances for
     interfaces"). *)
 
-val interfaces_of : Ir.t -> Ir.class_id -> Ir.class_id list
-(** All interfaces the type conforms to, transitively. *)
-
 val dispatch : Ir.t -> Ir.class_id -> string -> Ir.method_id option
 (** [dispatch p c name]: the method invoked when [name] is called on a
     receiver of dynamic type [c] — the nearest declaration of [name] on

@@ -48,8 +48,19 @@ let copy_base name =
   dir
 
 let store_healthy dir =
-  let checks = Store.verify ~dir () in
+  let checks = Store.verify ~dir in
   checks <> [] && List.for_all (fun (c : Store.check) -> c.Store.chk_ok) checks
+
+(* The chain tip's (key, snapshot) identity, and whether a fresh load
+   of the chain finds it certified. *)
+let tip_ident dir = Option.map (fun (t : Store.tip) -> (t.key, t.snapshot)) (Store.read_tip ~dir)
+let loads_certified dir = Store.certified (Store.load ~dir)
+
+(* The base manifest's [certified] line, if any — the mark as written,
+   whether or not it still names the tip. *)
+let mark_line dir =
+  In_channel.with_open_bin (Store.manifest_path dir) In_channel.input_lines
+  |> List.find_opt (String.starts_with ~prefix:"certified ")
 
 let certify ?(dir_load = fun dir -> Store.load ~dir) dir =
   let st = dir_load dir in
@@ -71,11 +82,11 @@ let test_cold_pass_and_mark () =
   (match Certify.verdict_lines v with
   | first :: _ -> Alcotest.(check bool) "ok line" true (String.length first >= 11 && String.sub first 0 11 = "certify: ok")
   | [] -> Alcotest.fail "no verdict lines");
-  (* The mark names the chain tip and reads back equal to read_ident. *)
-  Alcotest.(check bool) "unmarked before" true (Store.read_certified ~dir = None);
+  (* The mark names the chain tip, and a load of that tip is certified. *)
+  Alcotest.(check bool) "unmarked before" false (loads_certified dir);
   let ident = Store.mark_certified ~dir in
-  Alcotest.(check bool) "mark returns the tip identity" true (Store.read_ident ~dir = Some ident);
-  Alcotest.(check bool) "mark reads back" true (Store.read_certified ~dir = Some ident);
+  Alcotest.(check bool) "mark returns the tip identity" true (tip_ident dir = Some ident);
+  Alcotest.(check bool) "mark reads back" true (loads_certified dir);
   (* The rewritten manifest is still byte-healthy (fresh selfsum). *)
   Alcotest.(check bool) "marked store verifies" true (store_healthy dir)
 
@@ -141,22 +152,27 @@ let test_input_corruption_caught () =
 let test_mark_invalidation () =
   let dir = copy_base "certify-mark-inval" in
   let marked = Store.mark_certified ~dir in
-  Alcotest.(check bool) "marked" true (Store.read_certified ~dir = Some marked);
-  (* save_delta moves the tip: the stale mark must no longer equal the
-     tip identity (the caller-side comparison Follow does). *)
+  Alcotest.(check bool) "marked" true (loads_certified dir);
+  (* save_delta moves the tip: the stale mark stays in the base
+     manifest but no longer names the tip, so a load of the new tip is
+     not certified. *)
   let st = Store.load ~dir in
   ignore (Store.save_delta ~dir ~key:"certify-rekeyed" ~config:(Store.config st) ~space:(Store.space st) ~deltas:[]);
-  let stale = Store.read_certified ~dir in
-  Alcotest.(check bool) "mark survives textually" true (stale = Some marked);
-  Alcotest.(check bool) "but no longer names the tip" true (Store.read_ident ~dir <> stale);
+  Alcotest.(check (option string)) "mark survives textually"
+    (Some (Printf.sprintf "certified %s %d" (fst marked) (snd marked)))
+    (mark_line dir);
+  Alcotest.(check bool) "but no longer names the tip" true (tip_ident dir <> Some marked);
+  Alcotest.(check bool) "so the new tip loads uncertified" false (loads_certified dir);
   (* A fresh full save drops the line entirely. *)
   let st2 = Store.load ~dir in
   Store.save ~dir ~key:"certify-resaved" ~config:(Store.config st2) ~space:(Store.space st2)
     ~relations:(Store.relations st2);
-  Alcotest.(check bool) "full save drops the mark" true (Store.read_certified ~dir = None);
+  Alcotest.(check (option string)) "full save drops the mark" None (mark_line dir);
+  Alcotest.(check bool) "and the base loads uncertified" false (loads_certified dir);
   (* Re-marking after the save vouches for the new tip. *)
   let remarked = Store.mark_certified ~dir in
-  Alcotest.(check bool) "re-mark names the new tip" true (Store.read_ident ~dir = Some remarked)
+  Alcotest.(check bool) "re-mark names the new tip" true (tip_ident dir = Some remarked);
+  Alcotest.(check bool) "and the new tip loads certified" true (loads_certified dir)
 
 (* --- incremental and mem-capped results certify bit-identically --- *)
 
@@ -227,8 +243,8 @@ let test_follow_require_certified () =
   | _ -> Alcotest.fail "initial poll should be Unchanged");
   let gen0 = Serve.Source.generation source in
   (* A CRC-clean semantic corruption commits a *new, uncertified*
-     snapshot: the gate must reject it before any load cost, and the
-     old snapshot keeps serving (generation unchanged). *)
+     snapshot: the gate must reject the store it loads, and the old
+     snapshot keeps serving (generation unchanged). *)
   Store.corrupt_tuple_for_tests ~dir ~relation:"vP";
   (match Serve.Follow.poll follower with
   | Serve.Follow.Rejected { reason } ->
@@ -257,6 +273,45 @@ let test_follow_require_certified () =
   | Serve.Follow.Rejected { reason } -> Alcotest.failf "ungated follower rejected a committed save: %s" reason
   | Serve.Follow.Unchanged -> Alcotest.fail "ungated follower missed the save"
 
+(* The gate judges the store it loaded, not the identity it polled: a
+   writer alternating [save] (uncertified) and [mark_certified] races
+   a require-certified follower, so saves keep committing between the
+   follower's identity read and its load.  Every swap must report the
+   identity it actually served, and that store must be certified. *)
+let test_follow_gate_under_churn () =
+  let dir = tmp_dir "certify-follow-churn" in
+  save_tiny ~dir;
+  ignore (Store.mark_certified ~dir);
+  let source = Serve.Source.create (Serve.make (Store.load ~dir)) in
+  let follower = Serve.Follow.make ~require_certified:true ~dir source in
+  let stop = Atomic.make false in
+  let writer =
+    Stdlib.Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          save_tiny ~dir;
+          ignore (Store.mark_certified ~dir)
+        done)
+  in
+  let swaps = ref 0 and rejects = ref 0 in
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  while Unix.gettimeofday () < deadline do
+    match Serve.Follow.poll follower with
+    | Serve.Follow.Swapped { key; snapshot; _ } ->
+      incr swaps;
+      let served = Serve.store (Serve.Source.current source) in
+      if Serve.Follow.served_ident follower <> (key, snapshot) || (Store.key served, Store.snapshot served) <> (key, snapshot)
+      then
+        Alcotest.failf "Swapped reports snapshot %d, but the follower serves snapshot %d" snapshot
+          (Store.snapshot served);
+      if not (Store.certified served) then Alcotest.failf "swapped in uncertified snapshot %d" snapshot
+    | Serve.Follow.Rejected _ -> incr rejects
+    | Serve.Follow.Unchanged -> ()
+  done;
+  Atomic.set stop true;
+  Stdlib.Domain.join writer;
+  Printf.printf "gate under churn: %d swaps, %d rejections\n%!" !swaps !rejects;
+  Alcotest.(check bool) "swapped at least once" true (!swaps > 0)
+
 let () =
   Alcotest.run "certify"
     [
@@ -277,5 +332,6 @@ let () =
         [
           Alcotest.test_case "require-certified rejects, then swaps once marked" `Quick
             test_follow_require_certified;
+          Alcotest.test_case "the gate judges the store it loaded" `Quick test_follow_gate_under_churn;
         ] );
     ]

@@ -9,7 +9,7 @@
      [Cold (Removals _)], a byte-identical program goes [Unchanged];
    - chain: ten [save_delta] layers fold back to the right relation
      contents, before and after [compact], and the chain tip (not the
-     stale base) is what [read_ident] reports;
+     stale base) is what [read_tip] reports;
    - crash safety: kill at every fs op of [save_delta] and [compact],
      reopen must be old tip, new tip, or (compact only) cleanly
      absent — never a mix — and a broken tail quarantines while the
@@ -101,8 +101,8 @@ let test_add_method_incremental () =
       ~deltas:o.Incr.deltas
   in
   Alcotest.(check int) "first delta layer" 1 layer;
-  Alcotest.(check (option string)) "read_key follows the chain tip" (Some "edited-key") (Store.read_key ~dir);
-  Alcotest.(check bool) "ident is the chain tip" true (Store.read_ident ~dir = Some ("edited-key", 2));
+  Alcotest.(check bool) "read_tip follows the chain tip" true
+    (Store.read_tip ~dir = Some { Store.key = "edited-key"; snapshot = 2; layers = 1 });
   let st = Store.load ~dir in
   Alcotest.(check string) "loaded key is the tip's" "edited-key" (Store.key st);
   Alcotest.(check int) "one layer folded" 1 (Store.layers st);
@@ -116,7 +116,7 @@ let test_add_method_incremental () =
   List.iter
     (fun (c : Store.check) ->
       if not c.Store.chk_ok then Alcotest.failf "verify after save_delta: %s: %s" c.Store.chk_name c.Store.chk_detail)
-    (Store.verify ~dir ());
+    (Store.verify ~dir);
   let cold_ref = Float.max cold_seconds cold_base_seconds in
   Printf.printf "add-method: cold %.2fs, incremental update %.2fs (%.1fx)\n%!" cold_ref inc_seconds
     (cold_ref /. inc_seconds);
@@ -240,17 +240,20 @@ let sorted_tuples st =
   | None -> Alcotest.fail "relation r missing"
   | Some r -> List.sort compare (List.map (fun t -> t.(0)) (Relation.tuples r))
 
+(* The chain tip's (key, snapshot) identity, as a follower compares it. *)
+let tip_ident dir = Option.map (fun (t : Store.tip) -> (t.key, t.snapshot)) (Store.read_tip ~dir)
+
 let check_chain ctx dir ~expect ~key ~snapshot ~layers =
   let st = Store.load ~dir in
   Alcotest.(check (list int)) (ctx ^ ": folded tuples") (List.sort compare expect) (sorted_tuples st);
   Alcotest.(check string) (ctx ^ ": tip key") key (Store.key st);
   Alcotest.(check int) (ctx ^ ": snapshot") snapshot (Store.snapshot st);
   Alcotest.(check int) (ctx ^ ": layers") layers (Store.layers st);
-  Alcotest.(check bool) (ctx ^ ": read_ident is tip") true (Store.read_ident ~dir = Some (key, snapshot));
+  Alcotest.(check bool) (ctx ^ ": read_tip is tip") true (Store.read_tip ~dir = Some { Store.key; snapshot; layers });
   List.iter
     (fun (c : Store.check) ->
       if not c.Store.chk_ok then Alcotest.failf "%s: verify: %s: %s" ctx c.Store.chk_name c.Store.chk_detail)
-    (Store.verify ~dir ())
+    (Store.verify ~dir)
 
 let test_ten_layer_chain () =
   let dir = tmp_dir "incr-chain" in
@@ -275,6 +278,41 @@ let test_ten_layer_chain () =
   let layer = save_chain_delta dir ~key:"k11" ~add:[ 100 ] ~remove:[] in
   Alcotest.(check int) "fresh chain restarts at layer 1" 1 layer;
   check_chain "post-compact delta" dir ~expect:(100 :: !expect) ~key:"k11" ~snapshot:13 ~layers:1
+
+(* --- One grammar, two headers: a line that belongs to the other kind
+   of manifest is malformed even when the selfsum vouches for it. ---- *)
+
+(* Append [extra] to the manifest at [path] and re-sign it, so only
+   the grammar can object. *)
+let inject_line path extra =
+  let body =
+    In_channel.with_open_bin path In_channel.input_lines
+    |> List.filter (fun l -> l <> "end" && not (String.starts_with ~prefix:"selfsum " l))
+  in
+  let text = String.concat "" (List.map (fun l -> l ^ "\n") (body @ [ extra ])) in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "%sselfsum %s\nend\n" text (Crc32.to_hex (Crc32.string text)))
+
+let expect_unrecognized ctx dir line =
+  match Store.load ~dir with
+  | _ -> Alcotest.failf "%s: loaded despite %S" ctx line
+  | exception Solver_error.Error e ->
+    let msg = Solver_error.to_string e in
+    let suffix = "line: " ^ line in
+    Alcotest.(check bool) (ctx ^ ": " ^ msg) true (String.ends_with ~suffix msg)
+
+let test_foreign_lines () =
+  let dir = tmp_dir "incr-grammar" in
+  let store f = Filename.concat (Filename.concat dir "store") f in
+  save_chain_base dir [ 0 ];
+  ignore (save_chain_delta dir ~key:"k1" ~add:[ 1 ] ~remove:[]);
+  inject_line (store "layer.1.manifest") "certified k1 2";
+  expect_unrecognized "base line in a layer" dir "certified k1 2";
+  Alcotest.(check (option int)) "verify blames layer 1" (Some 1) (Store.first_broken_layer (Store.verify ~dir));
+  save_chain_base dir [ 0 ];
+  inject_line (store "manifest") "delta r";
+  expect_unrecognized "layer line in a base" dir "delta r";
+  Alcotest.(check bool) "no tip" true (Store.read_tip ~dir = None)
 
 (* --- Layout diagnostics name what changed. ------------------------ *)
 
@@ -317,7 +355,7 @@ let test_save_delta_crash_matrix () =
     | None -> Alcotest.failf "crash point %d/%d never fired" i n
     | Some label ->
       let ctx = Printf.sprintf "crash %d/%d (%s)" i n label in
-      (match Store.read_ident ~dir with
+      (match tip_ident dir with
       | Some ("k1", 2) -> check_chain ctx dir ~expect:[ 0; 1; 2 ] ~key:"k1" ~snapshot:2 ~layers:1
       | Some ("k2", 3) -> check_chain ctx dir ~expect:[ 1; 2; 3 ] ~key:"k2" ~snapshot:3 ~layers:2
       | other ->
@@ -325,7 +363,7 @@ let test_save_delta_crash_matrix () =
           (match other with Some (k, s) -> Printf.sprintf "(%s, %d)" k s | None -> "<none>"));
       (* Recovery: appending over the debris must land a healthy k2. *)
       ignore (save_chain_delta dir ~key:"k2r" ~add:[ 3 ] ~remove:[ 0 ]);
-      match Store.read_ident ~dir with
+      match tip_ident dir with
       | Some (("k2" | "k2r"), _) ->
         let st = Store.load ~dir in
         Alcotest.(check (list int)) (ctx ^ ": recovered tuples") [ 1; 2; 3 ] (sorted_tuples st)
@@ -357,7 +395,7 @@ let test_compact_crash_matrix () =
     | None -> Alcotest.failf "crash point %d/%d never fired" i n
     | Some label ->
       let ctx = Printf.sprintf "compact crash %d/%d (%s)" i n label in
-      (match Store.read_ident ~dir with
+      (match tip_ident dir with
       | Some ("k2", 3) ->
         (* Old chain (layer files may already be partly gone only
            after the new base committed, so the chain must be whole). *)
@@ -383,7 +421,7 @@ let test_quarantine_torn_tail () =
   ignore (save_chain_delta dir ~key:"k2" ~add:[ 2 ] ~remove:[]);
   ignore (save_chain_delta dir ~key:"k3" ~add:[ 3 ] ~remove:[]);
   Faults.corrupt_file (Filename.concat (Filename.concat dir "store") "layer.2.bdd") ~at:5 "XYZ";
-  let checks = Store.verify ~dir () in
+  let checks = Store.verify ~dir in
   Alcotest.(check bool) "corruption detected" true (List.exists (fun (c : Store.check) -> not c.Store.chk_ok) checks);
   Alcotest.(check (option int)) "cut point is layer 2" (Some 2) (Store.first_broken_layer checks);
   (match Store.quarantine_layers ~dir ~from_layer:2 with
@@ -397,7 +435,7 @@ let test_quarantine_torn_tail () =
   check_chain "regrown chain" dir ~expect:[ 0; 1; 9 ] ~key:"k2b" ~snapshot:5 ~layers:2;
   (* A corrupt base is not a layer problem: first_broken_layer demurs. *)
   Faults.corrupt_file (Filename.concat (Filename.concat dir "store") "relations.bdd") ~at:10 "XYZ";
-  let checks = Store.verify ~dir () in
+  let checks = Store.verify ~dir in
   Alcotest.(check bool) "base corruption detected" true
     (List.exists (fun (c : Store.check) -> not c.Store.chk_ok) checks);
   Alcotest.(check (option int)) "no layer cut for a broken base" None (Store.first_broken_layer checks)
@@ -422,6 +460,7 @@ let () =
         [
           Alcotest.test_case "ten layers fold correctly, before and after compact" `Quick test_ten_layer_chain;
           Alcotest.test_case "torn tail quarantines, base keeps serving" `Quick test_quarantine_torn_tail;
+          Alcotest.test_case "a line under the other header is malformed" `Quick test_foreign_lines;
         ] );
       ( "crash-safety",
         [

@@ -39,11 +39,19 @@ let nv = 8
 let nh = 4096
 let repl_key = "repl-0123456789abcdef" (* ptacli logs [String.sub key 0 12] *)
 
-let save_version ?(filler = 0) ~dir version =
+(* The versioned store's space: a V block (elements [v0]..) and an H
+   block ([h0]..).  A [save_delta] over such a store needs exactly this
+   layout; [v_prefix] renames V's elements, which makes the layer
+   carry a replacement V map. *)
+let version_space ?(v_prefix = "v") () =
   let sp = Space.create () in
-  let vdom = Domain.make ~name:"V" ~size:nv ~element_names:(Array.init nv (Printf.sprintf "v%d")) () in
+  let vdom = Domain.make ~name:"V" ~size:nv ~element_names:(Array.init nv (Printf.sprintf "%s%d" v_prefix)) () in
   let hdom = Domain.make ~name:"H" ~size:nh ~element_names:(Array.init nh (Printf.sprintf "h%d")) () in
   let vb = Space.alloc sp vdom and hb = Space.alloc sp hdom in
+  (sp, vb, hb)
+
+let save_version ?(filler = 0) ~dir version =
+  let sp, vb, hb = version_space () in
   let tuples =
     List.concat_map
       (fun v -> if v = 2 then [ [| 2; 32 + version |] ] else [ [| v; v |]; [| v; v + 8 |] ])
@@ -57,7 +65,7 @@ let save_version ?(filler = 0) ~dir version =
   let relations =
     if filler = 0 then [ vp ]
     else begin
-      let hb2 = Space.alloc sp hdom in
+      let hb2 = Space.alloc sp hb.Space.dom in
       let rng = Random.State.make [| 0xF111; version |] in
       let bulk =
         Relation.of_tuples sp ~name:"filler"
@@ -161,6 +169,72 @@ let test_inprocess_swaps () =
   | _ -> Alcotest.fail "clean save after rejection did not swap");
   Serve.Pool.poke pool;
   Alcotest.(check (list string)) "v2 after recovery" (v2_answer (last_swaps + 1)) (ask "points-to v2");
+  Serve.Pool.shutdown pool
+
+(* --- Corrupt data under a committed manifest -------------------------
+   A save whose manifest commits but one of whose data files fails its
+   CRC is rejected by the follower's load: the base dump of a full
+   save, a layer's dump, and a base map that a later layer superseded
+   (no name is read from it, but the chain still checksums it).  Each
+   broken state is reported once, and the old snapshot keeps
+   answering. *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_reject_corrupt_data () =
+  let dir = tmp_dir "repl-crc" in
+  save_version ~dir 1;
+  let source = Serve.Source.create (Serve.make (Store.load ~dir)) in
+  let pool = Serve.Pool.create ~stats:(Serve.make_stats ()) ~workers:1 source in
+  let follow = Serve.Follow.make ~dir source in
+  let v2 () =
+    Serve.Pool.poke pool;
+    sorted (Serve.Pool.run pool "points-to v2").Serve.outcome.Serve.lines
+  in
+  (* A layer over the current tip that adds [v2 -> h(32+version)]. *)
+  let save_layer ?v_prefix version =
+    let sp, vb, hb = version_space ?v_prefix () in
+    let vp tuples =
+      Relation.bdd
+        (Relation.of_tuples sp ~name:"d"
+           [ { Relation.attr_name = "variable"; block = vb }; { Relation.attr_name = "heap"; block = hb } ]
+           tuples)
+    in
+    ignore
+      (Store.save_delta ~dir ~key:repl_key ~config:[] ~space:sp ~deltas:[ ("vP", vp [ [| 2; 32 + version |] ], vp []) ])
+  in
+  let rejected_once ~file ~serving =
+    Faults.corrupt_file (Filename.concat (Filename.concat dir "store") file) ~at:5 "XYZ";
+    (match Serve.Follow.poll follow with
+    | Serve.Follow.Rejected { reason } ->
+      Alcotest.(check bool) (file ^ ": the load names the file: " ^ reason) true (contains reason ("store/" ^ file))
+    | Serve.Follow.Swapped _ -> Alcotest.failf "%s: swapped onto a corrupt save" file
+    | Serve.Follow.Unchanged -> Alcotest.failf "%s: the committed save went unnoticed" file);
+    (match Serve.Follow.poll follow with
+    | Serve.Follow.Unchanged -> ()
+    | _ -> Alcotest.failf "%s: one broken state reported twice" file);
+    Alcotest.(check (list string)) (file ^ ": old snapshot answers") (v2_answer serving) (v2 ())
+  in
+  let swapped version =
+    match Serve.Follow.poll follow with
+    | Serve.Follow.Swapped { snapshot; _ } -> Alcotest.(check int) "clean save swaps in" version snapshot
+    | _ -> Alcotest.failf "clean save %d did not swap" version
+  in
+  save_version ~dir 2;
+  rejected_once ~file:"relations.bdd" ~serving:1;
+  save_version ~dir 3;
+  swapped 3;
+  save_layer 4;
+  rejected_once ~file:"layer.1.bdd" ~serving:3;
+  save_version ~dir 5;
+  swapped 5;
+  save_layer ~v_prefix:"w" 6;
+  Alcotest.(check bool) "the layer supersedes V.map" true
+    (Sys.file_exists (Filename.concat (Filename.concat dir "store") "layer.1.V.map"));
+  rejected_once ~file:"V.map" ~serving:5;
   Serve.Pool.shutdown pool
 
 (* --- Process-level soak ---------------------------------------------
@@ -349,7 +423,7 @@ let test_process_soak () =
         if not (String.length label >= 5 && String.sub label 0 5 = "write") then
           Alcotest.failf "torn save crashed at %S, expected a data write" label
       | None -> Alcotest.fail "torn-save crash point never fired");
-      Alcotest.(check bool) "torn save leaves no committed store" true (Store.read_ident ~dir = None);
+      Alcotest.(check bool) "torn save leaves no committed store" true (Store.read_tip ~dir = None);
       (* Let both followers poll the debris and reject it while load
          continues. *)
       Thread.delay 0.4
@@ -466,6 +540,8 @@ let () =
       ( "swap",
         [
           Alcotest.test_case "in-process rolling swaps + rejection + reclamation" `Quick test_inprocess_swaps;
+          Alcotest.test_case "a committed save with a corrupt data file is rejected" `Quick
+            test_reject_corrupt_data;
         ] );
       ( "soak",
         [

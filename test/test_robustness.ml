@@ -259,6 +259,29 @@ let test_bad_bddvarorder () =
   List.iter Sys.remove [ dl; log ];
   Sys.rmdir dir
 
+(* A socket path that is a regular file is refused without removing
+   it, and the message names the subcommand that refused: the router's
+   own socket errors say [route:], not [serve:]. *)
+let test_route_socket_is_file () =
+  let dir = Filename.temp_dir "whalelam-route" "" in
+  let sock = Filename.concat dir "not-a-socket" and log = Filename.concat dir "err" in
+  Out_channel.with_open_bin sock (fun oc -> output_string oc "keep me\n");
+  let logfd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process "../bin/ptacli.exe"
+      [| "ptacli"; "route"; "--socket"; sock; "--backend"; Filename.concat dir "missing.sock" |]
+      Unix.stdin Unix.stdout logfd
+  in
+  Unix.close logfd;
+  let status = snd (Unix.waitpid [] pid) in
+  let err = In_channel.with_open_bin log In_channel.input_all in
+  let kept = In_channel.with_open_bin sock In_channel.input_all in
+  List.iter Sys.remove [ sock; log ];
+  Sys.rmdir dir;
+  check_bool "exit 1" true (status = Unix.WEXITED 1);
+  check_bool ("the error names route: " ^ err) true (String.starts_with ~prefix:"route: " err);
+  Alcotest.(check string) "the file is left alone" "keep me\n" kept
+
 (* --- the degradation ladder returns sound overapproximations --- *)
 
 let fg_of_profile name scale =
@@ -355,6 +378,7 @@ let () =
           Alcotest.test_case "no fd leak on failed loads" `Quick test_no_fd_leak;
           Alcotest.test_case "analyze --dump of an unknown relation exits 1" `Quick test_dump_unknown_relation;
           Alcotest.test_case "datalog with a bad .bddvarorder exits 1" `Quick test_bad_bddvarorder;
+          Alcotest.test_case "route refuses a non-socket path as route:" `Quick test_route_socket_is_file;
         ] );
       ( "fallback",
         [

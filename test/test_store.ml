@@ -52,18 +52,19 @@ let saved_dir =
        ~space:(Engine.space eng) ~relations:(Engine.exported_relations eng);
      dir)
 
+(* The chain tip's key, as [query --store] compares it. *)
+let tip_key dir = Option.map (fun (t : Store.tip) -> t.key) (Store.read_tip ~dir)
+
 let test_manifest () =
   let dir = Lazy.force saved_dir in
   Alcotest.(check bool) "exists" true (Store.exists ~dir);
-  Alcotest.(check (option string)) "read_key" (Some "test-key") (Store.read_key ~dir);
+  Alcotest.(check bool) "read_tip" true (Store.read_tip ~dir = Some { Store.key = "test-key"; snapshot = 1; layers = 0 });
   Alcotest.(check bool) "no store elsewhere" false (Store.exists ~dir:(dir ^ "-nope"));
-  Alcotest.(check (option string)) "no key elsewhere" None (Store.read_key ~dir:(dir ^ "-nope"));
-  Alcotest.(check (option int)) "read_snapshot" (Some 1) (Store.read_snapshot ~dir);
-  Alcotest.(check bool) "read_ident" true (Store.read_ident ~dir = Some ("test-key", 1));
-  Alcotest.(check (option int)) "no snapshot elsewhere" None (Store.read_snapshot ~dir:(dir ^ "-nope"));
+  Alcotest.(check bool) "no tip elsewhere" true (Store.read_tip ~dir:(dir ^ "-nope") = None);
   let st = Store.load ~dir in
   Alcotest.(check string) "key" "test-key" (Store.key st);
   Alcotest.(check int) "snapshot counter" 1 (Store.snapshot st);
+  Alcotest.(check bool) "no mark, not certified" false (Store.certified st);
   Alcotest.(check (option string)) "config" (Some "gantt") (Store.config_value st "bench")
 
 (* BDD-semantic equality across managers: re-dump each side under its
@@ -192,7 +193,7 @@ let test_corruption () =
   let dir = copy "store-nomanifest" in
   Sys.remove (Filename.concat (Filename.concat dir "store") "manifest");
   Alcotest.(check bool) "manifest-less store does not exist" false (Store.exists ~dir);
-  Alcotest.(check (option string)) "manifest-less store has no key" None (Store.read_key ~dir);
+  Alcotest.(check (option string)) "manifest-less store has no key" None (tip_key dir);
   expect_bad_input "manifest-less load" (fun () -> Store.load ~dir)
 
 (* Overwrite: saving different relations under a new key at the same
@@ -204,13 +205,13 @@ let test_overwrite () =
   let b = Space.alloc sp d in
   let r1 = Relation.of_tuples sp ~name:"one" [ { Relation.attr_name = "x"; block = b } ] [ [| 3 |]; [| 5 |] ] in
   Store.save ~dir ~key:"k1" ~config:[] ~space:sp ~relations:[ r1 ];
-  Alcotest.(check (option string)) "first key" (Some "k1") (Store.read_key ~dir);
+  Alcotest.(check (option string)) "first key" (Some "k1") (tip_key dir);
   let sp2 = Space.create () in
   let d2 = Domain.make ~name:"D" ~size:8 () in
   let b2 = Space.alloc sp2 d2 in
   let r2 = Relation.of_tuples sp2 ~name:"two" [ { Relation.attr_name = "x"; block = b2 } ] [ [| 1 |] ] in
   Store.save ~dir ~key:"k2" ~config:[] ~space:sp2 ~relations:[ r2 ];
-  Alcotest.(check (option string)) "second key" (Some "k2") (Store.read_key ~dir);
+  Alcotest.(check (option string)) "second key" (Some "k2") (tip_key dir);
   let st = Store.load ~dir in
   Alcotest.(check bool) "old relation gone" true (Store.find st "one" = None);
   match Store.find st "two" with
@@ -268,7 +269,7 @@ let check_store_is ctx which dir =
   List.iter
     (fun (c : Store.check) ->
       if not c.Store.chk_ok then Alcotest.failf "%s: verify check %s failed: %s" ctx c.Store.chk_name c.Store.chk_detail)
-    (Store.verify ~dir ())
+    (Store.verify ~dir)
 
 let starts_with prefix s = String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
 
@@ -327,7 +328,7 @@ let test_crash_matrix () =
     | None -> Alcotest.failf "crash point %d/%d never fired" i n
     | Some label ->
       let ctx = Printf.sprintf "crash %d/%d (%s)" i n label in
-      (match Store.read_key ~dir with
+      (match tip_key dir with
       | None ->
         (* Cleanly absent: exists agrees and load fails structurally. *)
         Alcotest.(check bool) (ctx ^ ": absent store does not exist") false (Store.exists ~dir);
@@ -368,7 +369,7 @@ let test_byte_flip_fuzz () =
         | exception Solver_error.Error (Solver_error.Bad_input _) -> ()
         | exception e -> Alcotest.failf "%s: unstructured failure %s" ctx (Printexc.to_string e));
         Alcotest.(check bool) (ctx ^ ": verify flags it") true
-          (List.exists (fun (c : Store.check) -> not c.Store.chk_ok) (Store.verify ~dir ()));
+          (List.exists (fun (c : Store.check) -> not c.Store.chk_ok) (Store.verify ~dir));
         (* Restore the pristine bytes for the next flip. *)
         Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc pristine)
       done)
@@ -381,8 +382,7 @@ let test_byte_flip_fuzz () =
    where the old manifest is already invalidated) — never a silent
    mix.  The manifest commit point plus per-file checksums carry the
    whole argument: a manifest that parses describes exactly one save,
-   and data replaced underneath it fails its recorded CRC.  [verify]
-   and [read_ident] must never raise under the same churn, and the
+   and data replaced underneath it fails its recorded CRC.  The
    snapshot counter observed by successful loads must be
    nondecreasing. *)
 
@@ -432,15 +432,17 @@ let test_reader_race () =
   Alcotest.(check bool) "raced against real churn (>= 10 writes)" true (Atomic.get writes >= 10);
   Alcotest.(check bool) "saw both generations" true (!saw_a > 0 && !saw_b > 0);
   (* The dir settles to the writer's final save and is healthy. *)
-  match Store.read_key ~dir with
+  match tip_key dir with
   | Some "kA" -> check_store_is "settled" `A dir
   | Some "kB" -> check_store_is "settled" `B dir
   | other -> Alcotest.failf "settled store unreadable: key %s" (Option.value other ~default:"<none>")
 
 (* [verify] under the same swap churn: whatever instant it samples, it
    must return a well-formed check list — healthy or cleanly failing —
-   and never raise.  Same for the cheap identity readers a follower
-   polls with. *)
+   and never raise.  The follower relies on the same contract from its
+   two readers: [read_tip] never raises, and [load] either returns or
+   raises [Solver_error.Error] — the only exception [Follow.poll]
+   turns into a rejection. *)
 let test_verify_under_swap () =
   let dir = tmp_dir "store-verify-swap" in
   save_b dir;
@@ -457,19 +459,18 @@ let test_verify_under_swap () =
   let deadline = Unix.gettimeofday () +. 2.0 in
   (while Unix.gettimeofday () < deadline do
      incr verdicts;
-     (match Store.verify ~dir () with
+     (match Store.verify ~dir with
      | [] -> Alcotest.fail "verify returned an empty check list"
      | checks ->
        if List.for_all (fun (c : Store.check) -> c.Store.chk_ok) checks then incr healthy
        else incr unhealthy
      | exception e -> Alcotest.failf "verify raised under swap: %s" (Printexc.to_string e));
-     (* The follower's cheap pre-checks obey the same contract. *)
-     (match Store.verify ~structural:false ~dir () with
-     | _ -> ()
-     | exception e -> Alcotest.failf "non-structural verify raised: %s" (Printexc.to_string e));
-     match Store.read_ident ~dir with
+     (match Store.load ~dir with
+     | _ | (exception Solver_error.Error _) -> ()
+     | exception e -> Alcotest.failf "load raised outside Solver_error under swap: %s" (Printexc.to_string e));
+     match Store.read_tip ~dir with
      | Some _ | None -> ()
-     | exception e -> Alcotest.failf "read_ident raised under swap: %s" (Printexc.to_string e)
+     | exception e -> Alcotest.failf "read_tip raised under swap: %s" (Printexc.to_string e)
    done);
   Atomic.set stop true;
   Stdlib.Domain.join writer;
@@ -482,17 +483,17 @@ let test_verify_under_swap () =
 let test_verify_quarantine () =
   let dir = tmp_dir "store-verify" in
   save_b dir;
-  let checks = Store.verify ~dir () in
+  let checks = Store.verify ~dir in
   (* manifest + relations.bdd + D.map + E.map + structural load *)
   Alcotest.(check int) "check count" 5 (List.length checks);
   Alcotest.(check bool) "healthy" true (List.for_all (fun (c : Store.check) -> c.Store.chk_ok) checks);
   Alcotest.(check bool) "nothing to quarantine elsewhere" true (Store.quarantine ~dir:(dir ^ "-none") = None);
-  (match Store.verify ~dir:(dir ^ "-none") () with
+  (match Store.verify ~dir:(dir ^ "-none") with
   | [ c ] -> Alcotest.(check bool) "missing store is one failing check" false c.Store.chk_ok
   | l -> Alcotest.failf "missing store: expected one check, got %d" (List.length l));
   Faults.corrupt_file (Filename.concat (Filename.concat dir "store") "relations.bdd") ~at:10 "XYZ";
   Alcotest.(check bool) "corruption detected" true
-    (List.exists (fun (c : Store.check) -> not c.Store.chk_ok) (Store.verify ~dir ()));
+    (List.exists (fun (c : Store.check) -> not c.Store.chk_ok) (Store.verify ~dir));
   (match Store.quarantine ~dir with
   | None -> Alcotest.fail "expected a quarantine destination"
   | Some dest ->
@@ -509,7 +510,7 @@ let test_verify_quarantine () =
 let () =
   Alcotest.run "store"
     [
-      ("manifest", [ Alcotest.test_case "save/exists/read_key/config" `Quick test_manifest ]);
+      ("manifest", [ Alcotest.test_case "save/exists/read_tip/config" `Quick test_manifest ]);
       ("exactness", [ Alcotest.test_case "loaded gantt relations BDD-equal to fresh solve" `Quick test_round_trip_exact ]);
       ("serving", [ Alcotest.test_case "100+ warm queries match fresh answers, 10x faster" `Quick test_warm_serve_batch ]);
       ("robustness", [ Alcotest.test_case "corrupt stores rejected" `Quick test_corruption ]);
