@@ -132,8 +132,8 @@ let write_json path =
      full solve against an independent fixpoint certification of its saved store (one non-semi-naive rule \
      application plus input containment), for the context-insensitive (cha/algo2) and claimed-context \
      context-sensitive (cs/algo5) checker paths.  \
-     v6 adds the mem table (uncapped Sweep-vs-Compact GC locality delta and an \
-     eviction-rate sweep over node-arena memory caps) and per-row arena counters: every engine-backed row \
+     v6 adds the mem table (an eviction-rate sweep over node-arena memory caps) and per-row arena \
+     counters: every engine-backed row \
      carries an arena object (page_bits, pages_total/resident/pinned, peak_pages_resident, evictions, \
      fault_ins, spill_reads, spill_writes, table_bytes) from the paged node arena; rows measured outside \
      the engine carry a zeroed arena object.  \
@@ -880,57 +880,19 @@ let swap_bench () =
   print_endline "seconds only for paper-scale ones) and the churn batch pays the swap +";
   print_endline "cache-refill tax without ever blocking a request on a load."
 
-(* --- Node-arena memory behavior: GC locality and paging cost --- *)
+(* --- Node-arena memory behavior: paging cost --- *)
 
-(* Two questions about the paged arena, answered on the two largest
-   profiles' context-sensitive solve:
-
-   1. Locality: with GC forced to actually run (the default policy
-      never collects an uncapped gantt-sized solve), does the Compact
-      mode's level-clustered renumbering cost anything against the
-      free-list Sweep it replaced?  Interleaved min-of-5 per mode, so
-      cache warm-up and machine noise hit both sides alike; the
-      acceptance bar is Compact within 5% of Sweep.
-
-   2. Paging: how does solve time degrade as the memory cap squeezes
-      below the working set, and how hard does the pager work?  One
-      capped run per cap point, smallest cap last. *)
+(* How does gantt's context-sensitive solve time degrade as the memory
+   cap squeezes below the working set, and how hard does the pager
+   work?  One capped run per cap point, smallest cap last. *)
 let mem_bench () =
-  header "Memory: GC-mode locality delta and eviction rate vs arena cap";
+  header "Memory: eviction rate vs arena cap";
   let d = Engine.default_options in
-  let min_of xs = List.fold_left min infinity xs in
-  Printf.printf "%-11s | %8s %8s %7s | gc mode locality (min of 7, gc every 64 apps)\n" "name" "sweep"
-    "compact" "delta";
-  List.iter
-    (fun profile ->
-      let name = profile.Synth.Profiles.name in
-      if name = "gantt" || name = "gruntspud" then begin
-        let { fg; ctx; _ } = prepare profile in
-        let one gc_mode =
-          let r = Analyses.run_cs ~options:{ d with Engine.gc_interval = 64; gc_mode = Some gc_mode } fg ctx in
-          r.Analyses.stats
-        in
-        (* Interleave the modes so drift affects both equally; record
-           each mode's best run (min-of-7 is what the delta is on). *)
-        let runs = List.init 7 (fun _ -> (one Bdd.Sweep, one Bdd.Compact)) in
-        let sweep = min_of (List.map (fun (s, _) -> s.Engine.solve_seconds) runs)
-        and compact = min_of (List.map (fun (_, c) -> c.Engine.solve_seconds) runs) in
-        let best seconds pick =
-          List.find (fun r -> (pick r).Engine.solve_seconds = seconds) runs |> pick
-        in
-        record ~table:"mem" ~bench:name ~algo:"gc-sweep" (best sweep fst);
-        record ~table:"mem" ~bench:name ~algo:"gc-compact" (best compact snd);
-        Printf.printf "%-11s | %8.3f %8.3f %+6.1f%% |\n" name sweep compact
-          ((compact -. sweep) /. sweep *. 100.0)
-      end)
-    (profiles ());
-  print_endline "\nShape to check: compact (level-clustered) within 5% of sweep — the";
-  print_endline "clustering is free at solve time and pays off once the arena pages.";
-  (match List.find_opt (fun p -> p.Synth.Profiles.name = "gantt") (profiles ()) with
+  match List.find_opt (fun p -> p.Synth.Profiles.name = "gantt") (profiles ()) with
   | None -> ()
   | Some profile ->
     let { fg; ctx; _ } = prepare profile in
-    Printf.printf "\n%-9s | %8s %9s %9s %9s | gantt cs under a shrinking arena cap\n" "cap" "seconds"
+    Printf.printf "%-9s | %8s %9s %9s %9s | gantt cs under a shrinking arena cap\n" "cap" "seconds"
       "evictions" "fault-ins" "peak-pages";
     List.iter
       (fun cap_mib ->
@@ -954,7 +916,7 @@ let mem_bench () =
          but are too slow to re-measure on every harness run. *)
       [ None; Some 24; Some 16; Some 12; Some 8 ];
     print_endline "\nShape to check: caps above the live working set cost nothing (zero";
-    print_endline "evictions); below it, eviction rate climbs and time degrades smoothly.")
+    print_endline "evictions); below it, eviction rate climbs and time degrades smoothly."
 
 (* --- The paper's running example --- *)
 

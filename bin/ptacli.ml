@@ -94,7 +94,20 @@ let mem_term =
             "Cap resident BDD node pages at $(docv) MiB.  Past the cap, cold pages spill to a scratch file and \
              fault back in on demand; answers are bit-identical to an uncapped run.")
   in
-  Term.(const (fun p c -> (p, c)) $ page_bits $ mem_cap)
+  (* Checked here, before any command reads a file, and reported through
+     the exit-1 protocol (a cmdliner converter would exit 124). *)
+  let in_range flag unit lo hi v =
+    if v < lo || v > hi then begin
+      Printf.eprintf "ptacli: %s: %d is outside the valid range %d to %d%s\n" flag v lo hi unit;
+      exit 1
+    end
+  in
+  let check p c =
+    Option.iter (in_range "--page-bits" "" 4 22) p;
+    Option.iter (in_range "--mem-cap" " MiB" 1 (max_int lsr 20)) c;
+    (p, c)
+  in
+  Term.(const check $ page_bits $ mem_cap)
 
 (* Turn a structured solver error into the process exit protocol (the
    top-level handler prints it and maps it to an exit code). *)
@@ -849,8 +862,10 @@ let update_cmd =
    the independent fixpoint check (Pta.Certify — shares the rule plans
    with the solver but not its fixpoint driver), and on a pass record
    the `certified <key> <snapshot>` mark that `serve --follow
-   --require-certified` demands.  Exit 1 with the violating rule and
-   bounded witness tuples on a failure. *)
+   --require-certified` demands, for the identity that was loaded and
+   checked: a save committed in between leaves the store unmarked and
+   exits 1.  Exit 1 with the violating rule and bounded witness tuples
+   on a failure. *)
 let run_certification path dir budget mem max_witness =
   let options = options_of_budget ~mem budget in
   if not (Store.exists ~dir) then begin
@@ -864,7 +879,8 @@ let run_certification path dir budget mem max_witness =
   let v = Pta.Certify.certify_store ~options ~query:Pta.Programs.no_query ~max_witness fg st in
   List.iter print_endline (Pta.Certify.verdict_lines v);
   if Pta.Certify.passed v then begin
-    let key, snapshot = Store.mark_certified ~dir in
+    let key = Store.key st and snapshot = Store.snapshot st in
+    Store.mark_certified_ident ~dir ~key ~snapshot;
     Printf.printf "certify: marked key %s snapshot %d as certified\n" (String.sub key 0 12) snapshot
   end
   else exit 1
@@ -894,7 +910,8 @@ let certify_cmd =
           CRC-clean on-disk corruption, or a wrong incremental shortcut is caught here even when \
           $(b,store verify) reports every checksum healthy.  A pass records a $(b,certified) mark in the \
           store manifest — what $(b,serve --follow --require-certified) demands before hot-swapping — \
-          naming the exact chain-tip identity, so any later save invalidates it.  On failure, prints the \
+          naming the exact chain-tip identity that was checked, so any later save invalidates it (and a \
+          save committed during the check leaves the store unmarked, exit 1).  On failure, prints the \
           first violating rule with bounded witness tuples and exits 1.")
     Term.(const run_certification $ program_arg $ certify_store_dir_arg $ budget_term $ mem_term $ max_witness_term)
 
@@ -948,6 +965,105 @@ let prepare_socket_path ~cmd path =
       Printf.eprintf "%s: %s exists and is not a socket; refusing to remove it\n%!" cmd path;
       exit 1
   end
+
+(* One connection's request loop for `serve` and `route`: read lines
+   until EOF or "quit", answering each through [reply] (which writes to
+   [oc] and says whether to hang up); after a reply is flushed, stop if
+   [shutdown] is set. *)
+let request_loop ~shutdown ic oc reply =
+  try
+    let continue = ref true in
+    while !continue do
+      let line = input_line ic in
+      if String.trim line = "quit" then continue := false
+      else begin
+        let close = reply line in
+        flush oc;
+        if close || !shutdown then continue := false
+      end
+    done
+  with End_of_file | Sys_error _ -> ()
+
+(* The socket shell shared by `serve --socket` and `route`: reclaim a
+   stale socket path, bind, print [banner], then accept until
+   [shutdown] is set, running [handle id ic oc] for each connection on
+   its own thread.  At most [max_clients] connections run at once; a
+   further client gets "err busy 0 0us" plus the line [busy ()]
+   returns, and is hung up on.  The accept is EINTR-safe and
+   shutdown-aware: select with a short timeout, so a signal that lands
+   between syscalls is still noticed.
+
+   Graceful shutdown, in order: stop accepting; half-close every live
+   connection so blocked readers see EOF once their in-flight request
+   has been answered; join the connection threads; run [drain] (the
+   caller's watcher or prober, then its pool: what the connections
+   used must outlive them, or an in-flight request would bounce);
+   finally remove the socket file. *)
+let socket_shell ~cmd ~path ~max_clients ~shutdown ~banner ~busy ~drain handle =
+  prepare_socket_path ~cmd path;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.listen fd 16;
+  Printf.eprintf "%s\n%!" banner;
+  (* conn_mutex guards conn_fds (the live connections, by id) and
+     threads.  The shutdown path reads them from the main thread while
+     connection workers mutate them. *)
+  let conn_mutex = Mutex.create () in
+  let conn_fds : (int, Unix.file_descr) Hashtbl.t = Hashtbl.create 8 in
+  let threads = ref [] in
+  let next_id = ref 0 in
+  let worker (id, cfd) =
+    let ic = Unix.in_channel_of_descr cfd and oc = Unix.out_channel_of_descr cfd in
+    handle id ic oc;
+    (try flush oc with Sys_error _ -> ());
+    Mutex.lock conn_mutex;
+    Hashtbl.remove conn_fds id;
+    Mutex.unlock conn_mutex;
+    try Unix.close cfd with Unix.Unix_error _ -> ()
+  in
+  let rec accept_next () =
+    if !shutdown then None
+    else
+      match Unix.select [ fd ] [] [] 0.25 with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_next ()
+      | [], _, _ -> accept_next ()
+      | _ :: _, _, _ -> (
+        match Unix.accept fd with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_next ()
+        | cfd, _ -> Some cfd)
+  in
+  let rec loop () =
+    match accept_next () with
+    | None -> ()
+    | Some cfd ->
+      Mutex.lock conn_mutex;
+      let full = Hashtbl.length conn_fds >= max_clients in
+      if not full then begin
+        incr next_id;
+        Hashtbl.replace conn_fds !next_id cfd;
+        threads := Thread.create worker (!next_id, cfd) :: !threads
+      end;
+      Mutex.unlock conn_mutex;
+      if full then begin
+        (* Backpressure: explicit err busy reply, then hang up. *)
+        let oc = Unix.out_channel_of_descr cfd in
+        (try
+           Printf.fprintf oc "err busy 0 0us\n%s\n" (busy ());
+           flush oc
+         with Sys_error _ -> ());
+        try Unix.close cfd with Unix.Unix_error _ -> ()
+      end;
+      loop ()
+  in
+  loop ();
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  Mutex.lock conn_mutex;
+  Hashtbl.iter (fun _ cfd -> try Unix.shutdown cfd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ()) conn_fds;
+  let conn_threads = !threads in
+  Mutex.unlock conn_mutex;
+  List.iter (fun t -> try Thread.join t with _ -> ()) conn_threads;
+  drain ();
+  try Sys.remove path with Sys_error _ -> ()
 
 let serve_cmd =
   let run dir socket max_clients workers req_timeout req_max_allocs req_max_nodes follow poll_interval
@@ -1016,10 +1132,10 @@ let serve_cmd =
         Some (Thread.create watcher ())
       end
     in
-    let join_watcher () =
-      match watcher_thread with
-      | Some t -> ( try Thread.join t with _ -> ())
-      | None -> ()
+    (* Once the connections have drained: the watcher, then the pool. *)
+    let stop_workers () =
+      Option.iter (fun t -> try Thread.join t with _ -> ()) watcher_thread;
+      Pta.Serve.Pool.shutdown pool
     in
     let in_flight = Atomic.make 0 in
     let serve_pooled line =
@@ -1032,27 +1148,19 @@ let serve_cmd =
        on stdout, then the result rows.  The banner and shutdown notes
        go to stderr so stdout stays a pure protocol stream. *)
     let handle_channel ic oc =
+      Atomic.incr stats.Pta.Serve.s_connections;
       let served = ref 0 in
-      (try
-         let continue = ref true in
-         while !continue do
-           let line = input_line ic in
-           if String.trim line = "quit" then continue := false
-           else begin
-             let s = serve_pooled line in
-             let o = s.Pta.Serve.outcome in
-             if not (o.Pta.Serve.command = "" && o.Pta.Serve.lines = []) then begin
-               incr served;
-               Printf.fprintf oc "%s %s %d %.0fus\n"
-                 (if o.Pta.Serve.ok then "ok" else "err")
-                 o.Pta.Serve.command o.Pta.Serve.count s.Pta.Serve.latency_us;
-               List.iter (fun l -> output_string oc (l ^ "\n")) o.Pta.Serve.lines
-             end;
-             flush oc;
-             if s.Pta.Serve.close || !shutdown then continue := false
-           end
-         done
-       with End_of_file | Sys_error _ -> ());
+      request_loop ~shutdown ic oc (fun line ->
+          let s = serve_pooled line in
+          let o = s.Pta.Serve.outcome in
+          if not (o.Pta.Serve.command = "" && o.Pta.Serve.lines = []) then begin
+            incr served;
+            Printf.fprintf oc "%s %s %d %.0fus\n"
+              (if o.Pta.Serve.ok then "ok" else "err")
+              o.Pta.Serve.command o.Pta.Serve.count s.Pta.Serve.latency_us;
+            List.iter (fun l -> output_string oc (l ^ "\n")) o.Pta.Serve.lines
+          end;
+          s.Pta.Serve.close);
       !served
     in
     let print_final () =
@@ -1076,108 +1184,28 @@ let serve_cmd =
       in
       Sys.set_signal Sys.sigterm (Sys.Signal_handle handler);
       Sys.set_signal Sys.sigint (Sys.Signal_handle handler);
-      Atomic.incr stats.Pta.Serve.s_connections;
       let n = handle_channel stdin stdout in
       shutdown := true;
-      join_watcher ();
-      Pta.Serve.Pool.shutdown pool;
+      stop_workers ();
       Printf.eprintf "serve: done (%d queries)\n%!" n;
       print_final ()
     | Some path ->
       let handler _ = shutdown := true in
       Sys.set_signal Sys.sigterm (Sys.Signal_handle handler);
       Sys.set_signal Sys.sigint (Sys.Signal_handle handler);
-      prepare_socket_path ~cmd:"serve" path;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 16;
-      Printf.eprintf
-        "serve: listening on %s (max %d concurrent connections, %d worker domain%s; 'quit' ends a connection; \
-         SIGTERM drains and exits)\n%!"
-        path max_clients
-        (Pta.Serve.Pool.workers pool)
-        (if Pta.Serve.Pool.workers pool = 1 then "" else "s");
-      (* conn_mutex guards all of: active, conn_fds, threads.  The
-         shutdown path reads them from the main thread while
-         connection workers mutate them. *)
-      let conn_mutex = Mutex.create () in
-      let active = ref 0 in
-      let conn_fds : (int, Unix.file_descr) Hashtbl.t = Hashtbl.create 8 in
-      let threads = ref [] in
-      let next_id = ref 0 in
-      let worker (id, cfd) =
-        let ic = Unix.in_channel_of_descr cfd and oc = Unix.out_channel_of_descr cfd in
-        let n = handle_channel ic oc in
-        Printf.eprintf "serve: connection closed (%d queries)\n%!" n;
-        (try flush oc with Sys_error _ -> ());
-        Mutex.lock conn_mutex;
-        decr active;
-        Hashtbl.remove conn_fds id;
-        Mutex.unlock conn_mutex;
-        try Unix.close cfd with Unix.Unix_error _ -> ()
-      in
-      (* EINTR-safe, shutdown-aware accept: select with a short timeout
-         so a signal that lands between syscalls is still noticed. *)
-      let rec accept_next () =
-        if !shutdown then None
-        else
-          match Unix.select [ fd ] [] [] 0.25 with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_next ()
-          | [], _, _ -> accept_next ()
-          | _ :: _, _, _ -> (
-            match Unix.accept fd with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_next ()
-            | cfd, _ -> Some cfd)
-      in
-      let rec loop () =
-        match accept_next () with
-        | None -> ()
-        | Some cfd ->
-          Mutex.lock conn_mutex;
-          let full = !active >= max_clients in
-          if not full then incr active;
-          Mutex.unlock conn_mutex;
-          if full then begin
-            (* Backpressure: explicit err busy reply, then hang up. *)
-            Atomic.incr stats.Pta.Serve.s_rejected;
-            let oc = Unix.out_channel_of_descr cfd in
-            (try
-               Printf.fprintf oc "err busy 0 0us\nserver at capacity (%d connections); retry later\n" max_clients;
-               flush oc
-             with Sys_error _ -> ());
-            try Unix.close cfd with Unix.Unix_error _ -> ()
-          end
-          else begin
-            Atomic.incr stats.Pta.Serve.s_connections;
-            incr next_id;
-            let id = !next_id in
-            Mutex.lock conn_mutex;
-            Hashtbl.replace conn_fds id cfd;
-            threads := Thread.create worker (id, cfd) :: !threads;
-            Mutex.unlock conn_mutex
-          end;
-          loop ()
-      in
-      loop ();
-      (* Graceful shutdown, in order: stop accepting; half-close every
-         live connection so blocked readers see EOF once their
-         in-flight request has been answered; join the connection
-         threads (each drains through [Pool.run] first); only then
-         shut the pool down and join the worker domains; finally
-         remove the socket file and print stats.  The pool must
-         outlive the connection threads or an in-flight [Pool.run]
-         would bounce with [err shutdown]. *)
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Mutex.lock conn_mutex;
-      Hashtbl.iter
-        (fun _ cfd -> try Unix.shutdown cfd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-        conn_fds;
-      let conn_threads = !threads in
-      Mutex.unlock conn_mutex;
-      List.iter (fun t -> try Thread.join t with _ -> ()) conn_threads;
-      join_watcher ();
-      Pta.Serve.Pool.shutdown pool;
-      (try Sys.remove path with Sys_error _ -> ());
+      let workers = Pta.Serve.Pool.workers pool in
+      socket_shell ~cmd:"serve" ~path ~max_clients ~shutdown
+        ~banner:
+          (Printf.sprintf
+             "serve: listening on %s (max %d concurrent connections, %d worker domain%s; 'quit' ends a \
+              connection; SIGTERM drains and exits)"
+             path max_clients workers
+             (if workers = 1 then "" else "s"))
+        ~busy:(fun () ->
+          Atomic.incr stats.Pta.Serve.s_rejected;
+          Printf.sprintf "server at capacity (%d connections); retry later" max_clients)
+        ~drain:stop_workers
+        (fun _ ic oc -> Printf.eprintf "serve: connection closed (%d queries)\n%!" (handle_channel ic oc));
       print_final ()
   in
   let dir =
@@ -1275,10 +1303,10 @@ let serve_cmd =
 
 (* --- route: fault-tolerant router over serve backends --------------
 
-   The accept-loop shell around [Pta.Router]: same socket lifecycle as
+   [socket_shell] around [Pta.Router], the same socket lifecycle as
    `serve` (stale-socket reclaim, EINTR-safe accept, --max-clients
-   with err busy, SIGTERM/SIGINT drain), one thread per client
-   connection doing I/O, plus a prober thread health-checking the
+   with err busy, SIGTERM/SIGINT drain, one thread per client
+   connection doing I/O), plus a prober thread health-checking the
    backends every --probe-interval.  All forwarding policy — retries,
    backoff + jitter, failover, circuit breakers — lives in the library
    module. *)
@@ -1314,93 +1342,22 @@ let route_cmd =
           done)
         ()
     in
-    prepare_socket_path ~cmd:"route" socket;
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX socket);
-    Unix.listen fd 16;
-    Printf.eprintf "route: listening on %s over %d backend(s) (max %d clients, %d retries)\n%!" socket
-      (List.length backends) max_clients (max 0 retries);
-    let conn_mutex = Mutex.create () in
-    let active = ref 0 in
-    let conn_fds : (int, Unix.file_descr) Hashtbl.t = Hashtbl.create 8 in
-    let threads = ref [] in
-    let next_id = ref 0 in
-    let worker (id, cfd) =
-      let ic = Unix.in_channel_of_descr cfd and oc = Unix.out_channel_of_descr cfd in
-      let sess = Pta.Router.session ~seed:id in
-      (try
-         let continue = ref true in
-         while !continue do
-           let line = input_line ic in
-           if String.trim line = "quit" then continue := false
-           else begin
-             (match Pta.Router.handle router sess line with
-             | None -> ()
-             | Some r ->
-               output_string oc (r.Pta.Router.rp_header ^ "\n");
-               List.iter (fun l -> output_string oc (l ^ "\n")) r.Pta.Router.rp_body);
-             flush oc;
-             if !shutdown then continue := false
-           end
-         done
-       with End_of_file | Sys_error _ -> ());
-      Pta.Router.close_session sess;
-      (try flush oc with Sys_error _ -> ());
-      Mutex.lock conn_mutex;
-      decr active;
-      Hashtbl.remove conn_fds id;
-      Mutex.unlock conn_mutex;
-      try Unix.close cfd with Unix.Unix_error _ -> ()
-    in
-    let rec accept_next () =
-      if !shutdown then None
-      else
-        match Unix.select [ fd ] [] [] 0.25 with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_next ()
-        | [], _, _ -> accept_next ()
-        | _ :: _, _, _ -> (
-          match Unix.accept fd with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_next ()
-          | cfd, _ -> Some cfd)
-    in
-    let rec loop () =
-      match accept_next () with
-      | None -> ()
-      | Some cfd ->
-        Mutex.lock conn_mutex;
-        let full = !active >= max_clients in
-        if not full then incr active;
-        Mutex.unlock conn_mutex;
-        if full then begin
-          let oc = Unix.out_channel_of_descr cfd in
-          (try
-             Printf.fprintf oc "err busy 0 0us\nrouter at capacity (%d connections); retry later\n"
-               max_clients;
-             flush oc
-           with Sys_error _ -> ());
-          try Unix.close cfd with Unix.Unix_error _ -> ()
-        end
-        else begin
-          incr next_id;
-          let id = !next_id in
-          Mutex.lock conn_mutex;
-          Hashtbl.replace conn_fds id cfd;
-          threads := Thread.create worker (id, cfd) :: !threads;
-          Mutex.unlock conn_mutex
-        end;
-        loop ()
-    in
-    loop ();
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    Mutex.lock conn_mutex;
-    Hashtbl.iter
-      (fun _ cfd -> try Unix.shutdown cfd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-      conn_fds;
-    let conn_threads = !threads in
-    Mutex.unlock conn_mutex;
-    List.iter (fun t -> try Thread.join t with _ -> ()) conn_threads;
-    (try Thread.join prober with _ -> ());
-    (try Sys.remove socket with Sys_error _ -> ());
+    socket_shell ~cmd:"route" ~path:socket ~max_clients ~shutdown
+      ~banner:
+        (Printf.sprintf "route: listening on %s over %d backend(s) (max %d clients, %d retries)" socket
+           (List.length backends) max_clients (max 0 retries))
+      ~busy:(fun () -> Printf.sprintf "router at capacity (%d connections); retry later" max_clients)
+      ~drain:(fun () -> try Thread.join prober with _ -> ())
+      (fun id ic oc ->
+        let sess = Pta.Router.session ~seed:id in
+        request_loop ~shutdown ic oc (fun line ->
+            (match Pta.Router.handle router sess line with
+            | None -> ()
+            | Some r ->
+              output_string oc (r.Pta.Router.rp_header ^ "\n");
+              List.iter (fun l -> output_string oc (l ^ "\n")) r.Pta.Router.rp_body);
+            false);
+        Pta.Router.close_session sess);
     Printf.eprintf "route: shutdown\n";
     List.iter (fun l -> Printf.eprintf "route:   %s\n" l) (Pta.Router.stats_lines router);
     flush stderr

@@ -11,8 +11,8 @@
    spills cold pages to a CRC'd scratch file and faults them back in
    on access.  The unique table is a chained hash whose bucket array
    tracks the arena capacity (load factor <= 1); chains are threaded
-   through [next].  Freed slots are threaded through [next] as a free
-   list and marked with [var = -1].
+   through [next].  Every slot below [num_slots] holds a live node:
+   allocation is a bump at [num_slots], and only a collection frees.
 
    The operation cache is a single direct-mapped array with stride-5
    entries [op; a; b; c; result]; all memoized operations share it,
@@ -21,34 +21,24 @@
    recursive kernels with their terminal rules inlined; the generic
    [apply] survives only for the rare connectives (xor/imp/biimp).
 
-   GC is mark-sweep from registered roots and is only ever invoked
-   explicitly, so in-flight intermediate results cannot be collected.
-   Two collection modes exist per manager:
-
-   - [Sweep] (the default for {!create}) frees dead slots in place and
-     never renumbers, so raw handles held anywhere stay valid — the
-     historical behavior every existing client was written against.
-
-   - [Compact] (chosen by the solver layers) renumbers the survivors,
-     clustering them by variable level so that the recursive kernels —
-     which walk level by level — touch consecutive slots and therefore
-     consecutive pages.  Renumbering requires every retained handle to
-     be reachable through the remap protocol: [add_root] refs and
-     [add_root_list] lists are rewritten in place, and [on_remap]
-     hooks let layers with private handle storage rewrite themselves.
-     [add_root_fn] functions are marked but NOT remapped; under
-     [Compact] their handles must also be covered by a ref, list or
-     hook.  The op cache is rebuilt through the relocation map, so
-     warm entries survive compaction.
-
-   In both modes surviving cache entries are only those whose operands
-   and result are all live (a freed handle may be reused by a later
-   [mk], so other entries would be unsound to keep).  Marking uses a
-   persistent byte buffer and an explicit stack, both reused across
-   collections, so GC does no per-call allocation and cannot overflow
-   the OCaml stack on deep BDDs.  [support] and [node_count] likewise
-   use an explicit stack with a reusable visited-stamp array instead
-   of per-call hash tables.
+   GC is mark-and-compact from registered roots and is only ever
+   invoked explicitly, so in-flight intermediate results cannot be
+   collected.  A collection renumbers the survivors, clustering them
+   by variable level so that the recursive kernels — which walk level
+   by level — touch consecutive slots and therefore consecutive pages.
+   Renumbering requires every retained handle to be reachable through
+   the remap protocol: [add_root] refs and [add_root_list] lists are
+   rewritten in place, and [on_remap] hooks let layers with private
+   handle storage rewrite themselves.  [add_root_fn] functions are
+   marked but NOT remapped; their handles must also be covered by a
+   ref, list or hook.  The op cache is rebuilt through the relocation
+   map: entries whose operands and result all survive stay warm under
+   their new numbers, the rest are dropped.  Marking uses a persistent
+   byte buffer and an explicit stack, both reused across collections,
+   so marking does no per-call allocation and cannot overflow the
+   OCaml stack on deep BDDs.  [support] and [node_count] likewise use
+   an explicit stack with a reusable visited-stamp array instead of
+   per-call hash tables.
 
    Reads of node fields may hold a page array across recursive calls:
    eviction detaches a page from the pool without mutating the array,
@@ -59,8 +49,6 @@
 module A = Node_arena
 
 type t = int
-
-type gc_mode = Sweep | Compact
 
 type varmap = {
   map_id : int;
@@ -87,13 +75,10 @@ type man = {
   arena : A.t; (* paged node storage; slot n = page (n lsr pbits), record (n land pmask) *)
   pbits : int; (* copies of the arena geometry, saving a load on the hot path *)
   pmask : int;
-  mode : gc_mode;
   base : int; (* overlay: first own handle, below it the shared snapshot; 0 = plain *)
   snap_buckets : int array; (* overlay: the snapshot's read-only unique table *)
   mutable buckets : int array; (* heads, -1 = empty *)
-  mutable free_head : int;
-  mutable num_slots : int; (* slots ever allocated, including freed *)
-  mutable num_free : int;
+  mutable num_slots : int; (* next fresh slot; every slot below it is live *)
   mutable peak_live : int;
   mutable nvars : int;
   mutable cache : int array;
@@ -115,9 +100,8 @@ type man = {
   mutable budget : Budget.t option;
   (* Compaction scratch, retained across collections like [marks]: the
      previous cache array (swapped back in remapped), and the
-     relocation / destination-order tables.  Without these a compacting
-     GC allocates and frees ~10 MB per collection on a gantt-sized
-     table — major-heap churn the free-list sweep never pays. *)
+     relocation / destination-order tables.  Without these each
+     collection allocates and frees ~10 MB on a gantt-sized table. *)
   mutable cache_scratch : int array;
   mutable reloc_scratch : int array;
   mutable order_scratch : int array;
@@ -142,7 +126,6 @@ let budget_check_interval = 4096
 let set_budget m b = m.budget <- b
 let budget m = m.budget
 let allocations m = m.allocs
-let gc_mode m = m.mode
 
 let bdd_false = 0
 let bdd_true = 1
@@ -190,7 +173,6 @@ let[@inline] wr_page m n =
 let[@inline] nvar m n = (node_page m n).((n land m.pmask) * 4)
 let[@inline] nlow m n = (node_page m n).(((n land m.pmask) * 4) + 1)
 let[@inline] nhigh m n = (node_page m n).(((n land m.pmask) * 4) + 2)
-let[@inline] nnext m n = (node_page m n).(((n land m.pmask) * 4) + 3)
 
 let var m n =
   if is_const n then invalid_arg "Bdd.var: terminal";
@@ -212,7 +194,7 @@ let level m n = nvar m n
 (* A plain manager's own nodes start after the terminals, an
    overlay's at [base].  (Not [max]: that is a polymorphic compare,
    and this runs on every fresh node.) *)
-let live_nodes m = m.num_slots - (if m.base = 0 then 2 else m.base) - m.num_free
+let live_nodes m = m.num_slots - if m.base = 0 then 2 else m.base
 let peak_live_nodes m = m.peak_live
 let reset_peak m = m.peak_live <- live_nodes m
 let gc_count m = m.gcs
@@ -238,18 +220,15 @@ let hash3 a b c = (a * 12582917) lxor (b * 4256249) lxor (c * 741457)
 
 let sweep_stale_spills = A.sweep_stale_spills
 
-let make_man ~arena ~mode ~base ~snap_buckets ~buckets ~cache_bits ~nvars =
+let make_man ~arena ~base ~snap_buckets ~buckets ~cache_bits ~nvars =
   {
     arena;
     pbits = arena.A.page_bits;
     pmask = arena.A.page_mask;
-    mode;
     base;
     snap_buckets;
     buckets = Array.make buckets (-1);
-    free_head = -1;
     num_slots = (if base = 0 then 2 else base);
-    num_free = 0;
     peak_live = 0;
     nvars;
     cache = Array.make ((1 lsl cache_bits) * 5) (-1);
@@ -276,7 +255,7 @@ let make_man ~arena ~mode ~base ~snap_buckets ~buckets ~cache_bits ~nvars =
     cache_logged = 0;
   }
 
-let create ?(node_hint = 1 lsl 16) ?(cache_bits = 16) ?page_bits ?max_bytes ?spill_path ?(gc_mode = Sweep) ~nvars () =
+let create ?(node_hint = 1 lsl 16) ?(cache_bits = 16) ?page_bits ?max_bytes ?spill_path ~nvars () =
   (* A capped manager bound for the temp directory sweeps its
      predecessors' orphaned scratch files first — a SIGKILLed capped
      solve never reaches [dispose].  Drivers that point [spill_path]
@@ -292,7 +271,7 @@ let create ?(node_hint = 1 lsl 16) ?(cache_bits = 16) ?page_bits ?max_bytes ?spi
     let rec up c = if c >= want then c else up (c * 2) in
     up 1024
   in
-  let m = make_man ~arena ~mode:gc_mode ~base:0 ~snap_buckets:[| -1 |] ~buckets:bcap ~cache_bits ~nvars in
+  let m = make_man ~arena ~base:0 ~snap_buckets:[| -1 |] ~buckets:bcap ~cache_bits ~nvars in
   let p0 = A.add_page arena in
   A.set_tail arena p0;
   (* The terminal page carries a permanent extra pin on top of any
@@ -370,11 +349,9 @@ let rehash m =
       end;
       for s = lo to hi - 1 do
         let i = s * 4 in
-        if pg.(i) >= 0 then begin
-          let b = hash3 pg.(i) pg.(i + 1) pg.(i + 2) land mask in
-          pg.(i + 3) <- m.buckets.(b);
-          m.buckets.(b) <- base + s
-        end
+        let b = hash3 pg.(i) pg.(i + 1) pg.(i + 2) land mask in
+        pg.(i + 3) <- m.buckets.(b);
+        m.buckets.(b) <- base + s
       done
     end
   done
@@ -461,20 +438,9 @@ let mk m v l h =
     else begin
       m.allocs <- m.allocs + 1;
       if m.allocs land (budget_check_interval - 1) = 0 then budget_check m;
-      let slot =
-        if m.free_head >= 0 then begin
-          let s = m.free_head in
-          m.free_head <- nnext m s;
-          m.num_free <- m.num_free - 1;
-          s
-        end
-        else begin
-          if m.num_slots >= A.capacity m.arena then grow m;
-          let s = m.num_slots in
-          m.num_slots <- m.num_slots + 1;
-          s
-        end
-      in
+      if m.num_slots >= A.capacity m.arena then grow m;
+      let slot = m.num_slots in
+      m.num_slots <- slot + 1;
       (* All writes happen against one fresh page fetch with nothing
          that can fault in between (the bucket array is flat). *)
       let pg = wr_page m slot in
@@ -1085,7 +1051,7 @@ let to_dot ?(var_name = fun i -> Printf.sprintf "x%d" i) m f =
 
    The dump ids are assigned by a deterministic children-first walk of
    the roots, so two managers holding the same functions — regardless
-   of their handle numbering, GC mode or arena geometry — serialize to
+   of their handle numbering, GC history or arena geometry — serialize to
    the same bytes: dumps double as canonical fingerprints for
    bit-identity checks across capped/uncapped runs.
 
@@ -1094,7 +1060,7 @@ let to_dot ?(var_name = fun i -> Printf.sprintf "x%d" i) m f =
    of surfacing as a confusing structural error (or worse, decoding to
    a wrong BDD); it then rebuilds through [mk], so hash consing
    re-establishes canonicity in the target manager regardless of its
-   current table size, free-list state or GC history.  Structural
+   current table size or GC history.  Structural
    validation still rejects malformed-but-checksummed input
    ([Solver_error.Bad_input] carrying the byte offset) before any node
    is interned from a bad triple. *)
@@ -1230,8 +1196,7 @@ let remove_root_list m l = m.root_lists <- List.filter (fun l' -> l' != l) m.roo
 let add_root_fn m f = m.root_fns <- f :: m.root_fns
 let on_remap m h = m.remap_hooks <- h :: m.remap_hooks
 
-(* Mark every node reachable from the registered roots into [m.marks].
-   Shared by both GC modes. *)
+(* Mark every node reachable from the registered roots into [m.marks]. *)
 let mark_roots m =
   if Bytes.length m.marks < m.num_slots then m.marks <- Bytes.make (A.capacity m.arena) '\000'
   else Bytes.fill m.marks 0 m.num_slots '\000';
@@ -1257,88 +1222,15 @@ let mark_roots m =
   List.iter (fun l -> List.iter mark !l) m.root_lists;
   List.iter (fun f -> List.iter mark (f ())) m.root_fns
 
-(* Invalidate cache entries whose operands or result died this
-   collection: their handles may be reused by a later [mk], after which
-   the entry would describe a different function.  Entries over live
-   handles stay valid because hash consing makes a live handle denote
-   the same function forever.  Operand slots holding non-handle keys
-   ([op_replace]'s map id) are skipped — varmaps are immutable and map
-   ids are never reused. *)
-let sweep_cache m =
-  let live x = x < 2 || Bytes.get m.marks x = '\001' in
-  let cache = m.cache in
-  let n = Array.length cache / 5 in
-  for slot = 0 to n - 1 do
-    let i = slot * 5 in
-    let op = cache.(i) in
-    if op >= 0 then begin
-      let ok =
-        live cache.(i + 4)
-        && live cache.(i + 1)
-        && (op = op_replace || (live cache.(i + 2) && live cache.(i + 3)))
-      in
-      if not ok then cache.(i) <- -1
-    end
-  done
-
-(* Non-moving collection: dead slots go on the free list, every
-   surviving handle keeps its number.  This is the only mode safe for
-   clients that squirrel raw handles away without registering a
-   remapping path. *)
-let gc_sweep m =
-  mark_roots m;
-  sweep_cache m;
-  let a = m.arena in
-  let spp = a.A.slots_per_page in
-  (* Sweep: free unmarked live slots (page-wise: one fault per page). *)
-  for p = 0 to a.A.num_pages - 1 do
-    let base = p * spp in
-    let lo = if p = 0 then 2 else 0 in
-    let hi = min spp (m.num_slots - base) in
-    if hi > lo then begin
-      let pg = A.fault_in a p in
-      if a.A.capped then begin
-        Bytes.set a.A.refbit p '\001';
-        Bytes.set a.A.dirty p '\001'
-      end;
-      for s = lo to hi - 1 do
-        if pg.(s * 4) >= 0 && Bytes.get m.marks (base + s) = '\000' then pg.(s * 4) <- -1
-      done
-    end
-  done;
-  rehash m;
-  (* Rehashing only threads live nodes; thread the free slots now, high
-     pages first so the list pops low slots first. *)
-  m.free_head <- -1;
-  m.num_free <- 0;
-  for p = a.A.num_pages - 1 downto 0 do
-    let base = p * spp in
-    let lo = if p = 0 then 2 else 0 in
-    let hi = min spp (m.num_slots - base) in
-    if hi > lo then begin
-      let pg = A.fault_in a p in
-      if a.A.capped then begin
-        Bytes.set a.A.refbit p '\001';
-        Bytes.set a.A.dirty p '\001'
-      end;
-      for s = hi - 1 downto lo do
-        if pg.(s * 4) = -1 then begin
-          pg.((s * 4) + 3) <- m.free_head;
-          m.free_head <- base + s;
-          m.num_free <- m.num_free + 1
-        end
-      done
-    end
-  done;
-  m.gcs <- m.gcs + 1
-
 (* Rebuild the op cache through the relocation map so warm entries
    survive compaction: an entry is kept when its result and operands
    are all live, with handles rewritten to their new numbers and the
    entry re-inserted at the slot the rewritten key hashes to
-   (collisions are last-write-wins, same as normal stores).
-   [op_replace]'s b slot is a map id, never a handle: it is neither
-   liveness-checked nor rewritten. *)
+   (collisions are last-write-wins, same as normal stores).  Entries
+   naming a dead handle are dropped: that number may be reused by a
+   later [mk], after which the entry would describe another function.
+   [op_replace]'s b slot is a map id, never a handle (map ids are never
+   reused): it is neither liveness-checked nor rewritten. *)
 let rebuild_cache_remapped m reloc =
   let live x = x < 2 || Bytes.get m.marks x = '\001' in
   let remap x = if x < 2 then x else reloc.(x) in
@@ -1372,7 +1264,7 @@ let rebuild_cache_remapped m reloc =
   m.cache_scratch <- cache;
   m.cache <- fresh
 
-(* Compacting collection: renumber the survivors so that nodes of the
+(* Collection: renumber the survivors so that nodes of the
    same variable level sit in consecutive slots — and therefore in the
    same (or adjacent) pages.  The recursive kernels proceed level by
    level, so clustering turns their page access pattern from uniform
@@ -1386,9 +1278,14 @@ let rebuild_cache_remapped m reloc =
    New numbering: terminals keep 0/1; level 0's survivors follow, then
    level 1's, etc.  [reloc.(old) = new] for every marked slot.  After
    the copy, every registered root ref/list is rewritten in place and
-   the [on_remap] hooks run with the relocation function; the free
-   list is gone (allocation resumes as pure bump at [num_slots]). *)
-let gc_compact m =
+   the [on_remap] hooks run with the relocation function; allocation
+   resumes as a bump at [num_slots].  Collection and freezing rewrite
+   the node pages, which an overlay shares with every other overlay
+   over the same snapshot, so both refuse an overlay. *)
+let check_plain m what = if m.base > 0 then invalid_arg (what ^ ": not on an overlay")
+
+let gc m =
+  check_plain m "Bdd.gc";
   mark_roots m;
   let a = m.arena in
   let spp = a.A.slots_per_page in
@@ -1487,8 +1384,6 @@ let gc_compact m =
   A.swap a fresh npages;
   A.set_tail a (npages - 1);
   m.num_slots <- new_slots;
-  m.free_head <- -1;
-  m.num_free <- 0;
   (* Shrink (or grow) the bucket array to the compacted capacity, then
      rebuild the chains over the new numbering. *)
   let cap = A.capacity a in
@@ -1505,16 +1400,6 @@ let gc_compact m =
   List.iter (fun h -> h mapf) m.remap_hooks;
   m.gcs <- m.gcs + 1
 
-(* Collection and freezing rewrite the node pages, which an overlay
-   shares with every other overlay over the same snapshot. *)
-let check_plain m what = if m.base > 0 then invalid_arg (what ^ ": not on an overlay")
-
-let gc m =
-  check_plain m "Bdd.gc";
-  match m.mode with
-  | Sweep -> gc_sweep m
-  | Compact -> gc_compact m
-
 (* --- Frozen snapshots and overlays -----------------------------------
 
    Multicore warm-query serving: [freeze] snapshots a manager's node
@@ -1526,10 +1411,10 @@ let gc m =
    the buffer pool into plain arrays (spilled pages are faulted in to
    be copied, so a snapshot is always fully resident), plus a copy of
    the unique table.  The collection keeps every registered root
-   valid: under [Sweep] no handle moves, and under [Compact] the
-   renumbering rewrites every [add_root] ref, [add_root_list] list and
-   [on_remap] hook, so handles read back from their rooted homes after
-   [freeze] returns are valid snapshot handles.
+   valid: its renumbering rewrites every [add_root] ref,
+   [add_root_list] list and [on_remap] hook, so handles read back from
+   their rooted homes after [freeze] returns are valid snapshot
+   handles.
 
    An overlay's arena starts with the snapshot's pages, shared and
    never written, so snapshot handles read as they did in the frozen
@@ -1554,8 +1439,8 @@ type frozen = {
 
 let freeze m =
   check_plain m "Bdd.freeze";
-  (* Collect first so the snapshot holds only reachable nodes (and,
-     under [Compact], is level-clustered and densely numbered). *)
+  (* Collect first so the snapshot holds only reachable nodes,
+     level-clustered and densely numbered. *)
   gc m;
   let a = m.arena in
   let spp = a.A.slots_per_page in
@@ -1582,7 +1467,7 @@ let frozen_bytes fz =
 let overlay fz =
   let arena = A.create ~page_bits:fz.fz_page_bits () in
   A.adopt arena fz.fz_pages;
-  make_man ~arena ~mode:Sweep ~base:(A.capacity arena) ~snap_buckets:fz.fz_buckets ~buckets:1024 ~cache_bits:14
+  make_man ~arena ~base:(A.capacity arena) ~snap_buckets:fz.fz_buckets ~buckets:1024 ~cache_bits:14
     ~nvars:fz.fz_nvars
 
 let reset m =

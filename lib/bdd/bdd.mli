@@ -2,7 +2,7 @@
 
     This is the substrate the paper builds on (it used BuDDy via the
     JavaBDD wrapper): a hash-consed node table, memoizing operation
-    cache, mark-sweep garbage collection with registered roots, the
+    cache, mark-and-compact garbage collection with registered roots, the
     relational-product ([relprod]) and variable-renaming ([replace])
     operations that implement relational algebra, and satisfying-
     assignment counting/enumeration used to read results back out.
@@ -14,8 +14,10 @@
     approach; there is no dynamic reordering.
 
     Node handles ([t]) are only meaningful together with the manager
-    that created them.  A handle is kept alive across {!gc} only if it
-    is reachable from a registered root. *)
+    that created them.  {!gc} renumbers the nodes it keeps, so a handle
+    held across a collection must live where the collector can rewrite
+    it: an {!add_root} ref, an {!add_root_list} list, or storage an
+    {!on_remap} hook rewrites. *)
 
 type man
 (** A BDD manager: node table, caches, roots. *)
@@ -26,24 +28,6 @@ type t = private int
 
 type varmap
 (** A variable renaming, created with {!make_map}. *)
-
-type gc_mode =
-  | Sweep
-      (** Non-moving collection: dead slots go on a free list and every
-          surviving handle keeps its number.  The only mode safe for
-          clients that hold raw handles without registering a remapping
-          path.  Default for {!create}. *)
-  | Compact
-      (** Moving collection: survivors are renumbered, clustered by
-          variable level so the level-by-level recursive kernels touch
-          consecutive arena pages (the locality that makes a byte-capped
-          buffer pool workable).  Every handle retained across {!gc}
-          must then be reachable through {!add_root}, {!add_root_list}
-          or an {!on_remap} hook — those are rewritten in place;
-          {!add_root_fn} results are marked live but NOT rewritten.
-          The op cache is rebuilt through the relocation map, so warm
-          entries survive.  Chosen by the solver layers
-          ([Bddrel.Space]). *)
 
 exception Limit_exceeded of Budget.reason
 (** Raised from inside an operation when the installed {!Budget.t} is
@@ -58,7 +42,6 @@ val create :
   ?page_bits:int ->
   ?max_bytes:int ->
   ?spill_path:string ->
-  ?gc_mode:gc_mode ->
   nvars:int ->
   unit ->
   man
@@ -75,10 +58,7 @@ val create :
     back in on access through clock replacement.  Without [max_bytes]
     every page stays resident and the manager never touches the file
     system.  Spill IO failures and checksum mismatches raise
-    [Solver_error.Error (Internal _)] with the arena left consistent.
-
-    [gc_mode] selects the collection strategy (default {!Sweep}; see
-    {!gc_mode}). *)
+    [Solver_error.Error (Internal _)] with the arena left consistent. *)
 
 val dispose : man -> unit
 (** Close and delete the spill scratch file, if one was created.  The
@@ -241,41 +221,44 @@ val deserialize : ?source:string -> man -> string -> t list
 (** {2 Memory management} *)
 
 val add_root : man -> t ref -> unit
-(** Register a location whose content must survive {!gc}. *)
+(** Register a location whose content must survive {!gc}; the
+    collection rewrites it in place with the relocated handle. *)
 
 val remove_root : man -> t ref -> unit
 
 val add_root_list : man -> t list ref -> unit
-(** Register a list of handles that must survive {!gc}.  Under
-    {!Compact} the list is rewritten in place with the relocated
-    handles, so reading through the ref always yields valid handles. *)
+(** Register a list of handles that must survive {!gc}.  The list is
+    rewritten in place with the relocated handles, so reading through
+    the ref always yields valid handles. *)
 
 val remove_root_list : man -> t list ref -> unit
 
 val add_root_fn : man -> (unit -> t list) -> unit
 (** Register a function producing additional roots at collection time;
     useful for rooting caches whose contents change.  The produced
-    handles are marked live but — under {!Compact} — NOT rewritten;
-    storage that must stay valid across a compacting collection needs
-    a ref, a list ref, or an {!on_remap} hook as well. *)
+    handles are marked live but NOT rewritten: storage that must stay
+    valid across a collection needs a ref, a list ref, or an
+    {!on_remap} hook as well. *)
 
 val on_remap : man -> ((t -> t) -> unit) -> unit
-(** Register a hook run at the end of every {!Compact} collection (and
-    never under {!Sweep}).  The hook receives the relocation function
-    — total on handles that were live at mark time, identity on
-    terminals — and must rewrite any raw handles its layer stores
-    privately (caches, prepared plans, ...).  Applying it to a handle
-    that was not reachable from any root is undefined. *)
+(** Register a hook run at the end of every collection.  The hook
+    receives the relocation function — total on handles that were live
+    at mark time, identity on terminals — and must rewrite any raw
+    handles its layer stores privately (caches, prepared plans, ...).
+    Applying it to a handle that was not reachable from any root is
+    undefined. *)
 
 val gc : man -> unit
-(** Collection from the registered roots, in the manager's {!gc_mode}.
+(** Mark-and-compact collection from the registered roots: survivors
+    are renumbered densely, clustered by variable level so the
+    level-by-level recursive kernels touch consecutive arena pages
+    (the locality that makes a byte-capped buffer pool workable), and
+    every registered ref and list is rewritten and every {!on_remap}
+    hook run.
     Never called implicitly during an operation; callers (e.g. the
     Datalog engine) invoke it between rule applications.  The operation
-    cache survives collection: only entries whose operands or result
-    died are invalidated (and under {!Compact} the survivors are
-    rewritten to the new numbering). *)
-
-val gc_mode : man -> gc_mode
+    cache survives collection: entries whose operands or result died
+    are dropped, and the rest are rewritten to the new numbering. *)
 
 (** {2 Resource governance} *)
 
@@ -357,10 +340,9 @@ val to_dot : ?var_name:(int -> string) -> man -> t -> string
     operation of this interface except {!gc} and {!freeze} runs on an
     overlay, through the same kernels the solver uses.
 
-    {!freeze} collects first.  Under {!Sweep} no handle moves; under
-    {!Compact} the collection renumbers the nodes but rewrites every
-    registered root, list and {!on_remap} hook.  Either way, handles
-    read back from their rooted homes after [freeze] returns denote the
+    {!freeze} collects first.  The collection renumbers the nodes but
+    rewrites every registered root, list and {!on_remap} hook, so
+    handles read back from their rooted homes after [freeze] returns denote the
     same functions in the snapshot, and answers computed on an overlay
     are bit-identical to the frozen manager's.  The snapshot is always
     fully resident (spilled pages are faulted in to be copied), so

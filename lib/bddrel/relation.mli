@@ -109,9 +109,9 @@ type frozen
 val freeze : t -> frozen
 (** Capture the relation's current contents.  To serve from a
     {!Bdd.freeze} snapshot, capture {e after} the snapshot: the
-    freeze-time collection may renumber handles (under {!Bdd.Compact})
-    and rewrites the relation's registered root in place, so only a
-    capture taken afterwards reads the snapshot's handle. *)
+    freeze-time collection renumbers handles and rewrites the
+    relation's registered root in place, so only a capture taken
+    afterwards reads the snapshot's handle. *)
 
 val frozen_attrs : frozen -> attr list
 val frozen_arity : frozen -> int

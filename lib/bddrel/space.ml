@@ -6,13 +6,9 @@ type t = {
   mutable next_var : int;
 }
 
-(* Solver spaces default to [Compact] GC: every handle the relational
-   layer retains lives behind a [Relation] ref (a registered root) or a
-   registered remap path, so renumbering is safe, and the
-   level-clustered layout is what makes a byte-capped arena usable. *)
-let create ?node_hint ?cache_bits ?page_bits ?mem_cap_bytes ?spill_path ?(gc_mode = Bdd.Compact) () =
+let create ?node_hint ?cache_bits ?page_bits ?mem_cap_bytes ?spill_path () =
   {
-    man = Bdd.create ?node_hint ?cache_bits ?page_bits ?max_bytes:mem_cap_bytes ?spill_path ~gc_mode ~nvars:0 ();
+    man = Bdd.create ?node_hint ?cache_bits ?page_bits ?max_bytes:mem_cap_bytes ?spill_path ~nvars:0 ();
     by_domain = Hashtbl.create 16;
     next_var = 0;
   }

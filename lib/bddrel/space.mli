@@ -32,17 +32,15 @@ val create :
   ?page_bits:int ->
   ?mem_cap_bytes:int ->
   ?spill_path:string ->
-  ?gc_mode:Bdd.gc_mode ->
   unit ->
   t
 (** [node_hint]/[cache_bits] size the manager as in {!Bdd.create}.
     [page_bits] sets the arena page size; [mem_cap_bytes] caps resident
     node-page bytes, spilling cold pages to [spill_path] (default a
-    temp file) — see {!Bdd.create}'s [max_bytes].  [gc_mode] defaults
-    to {!Bdd.Compact}: solver spaces retain every handle behind
-    registered roots or remap hooks, so collections renumber and
-    cluster survivors by variable level (the locality that makes the
-    byte cap workable and speeds up uncapped solves). *)
+    temp file) — see {!Bdd.create}'s [max_bytes].  Every handle the
+    relational layer retains lives behind a [Relation] ref (a
+    registered root) or a registered remap hook, so {!Bdd.gc} may
+    renumber the nodes and cluster them by variable level. *)
 
 val man : t -> Bdd.man
 

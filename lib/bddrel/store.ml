@@ -586,13 +586,19 @@ let map_source c name =
   | Some l -> (l, layer_map_file l.m_index name)
   | None -> (c.c_base, map_file name)
 
-type tip = { key : string; snapshot : int; layers : int }
+type tip = { key : string; snapshot : int; layers : int; certified : bool }
 
 let read_tip ~dir =
   match open_chain ~broken:"broken delta chain" dir with
   | c ->
     let m = tip c in
-    Some { key = m.m_key; snapshot = m.m_snapshot; layers = List.length c.c_layers }
+    Some
+      {
+        key = m.m_key;
+        snapshot = m.m_snapshot;
+        layers = List.length c.c_layers;
+        certified = c.c_base.m_certified = Some (m.m_key, m.m_snapshot);
+      }
   | exception Solver_error.Error _ -> None
 
 let read_layers ~dir = Option.map (fun t -> t.layers) (read_tip ~dir)
@@ -866,12 +872,23 @@ let compact ~dir =
    every other manifest write.  The mark names the tip {e identity},
    so it self-invalidates: a later [save_delta] moves the tip snapshot
    past the recorded one, and [save]/[compact] rewrite the manifest
-   without the line.  Returns the recorded pair. *)
-let mark_certified ~dir =
+   without the line.  [check] sees the tip before the write, from the
+   same parse.  Returns the recorded pair. *)
+let write_mark ~dir check =
   let c = open_chain ~broken:"cannot certify a broken delta chain" dir in
   let top = tip c in
+  check top;
   write_atomic c.c_base.m_path (render { c.c_base with m_certified = Some (top.m_key, top.m_snapshot) });
   (top.m_key, top.m_snapshot)
+
+let mark_certified ~dir = write_mark ~dir ignore
+
+let mark_certified_ident ~dir ~key ~snapshot =
+  ignore
+    (write_mark ~dir (fun top ->
+         if top.m_key <> key || top.m_snapshot <> snapshot then
+           bad ~path:top.m_path ~line:0 "the chain tip moved to snapshot %d since snapshot %d was checked; not marked"
+             top.m_snapshot snapshot))
 
 (* Test-only semantic corruption: delete the first tuple of [relation]
    (or insert an all-zeros tuple when it is empty) and re-save the

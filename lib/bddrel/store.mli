@@ -97,12 +97,13 @@ val manifest_path : string -> string
     root [dir] — the single commit point of a save.  Followers [stat]
     it as a cheap has-anything-changed probe before reading. *)
 
-type tip = { key : string; snapshot : int; layers : int }
+type tip = { key : string; snapshot : int; layers : int; certified : bool }
 (** The committed {e chain tip}: the topmost delta layer's key and
-    snapshot (the base's when there are no layers) and the number of
-    layers above the base.  Two equal [(key, snapshot)] pairs describe
-    the same state, so a stale base can never masquerade as the
-    current save. *)
+    snapshot (the base's when there are no layers), the number of
+    layers above the base, and whether the base's certification mark
+    names this tip (what {!certified} would say of its load).  Two
+    equal [(key, snapshot)] pairs describe the same state, so a stale
+    base can never masquerade as the current save. *)
 
 val read_tip : dir:string -> tip option
 (** The store's one identity reader: parses the base manifest and
@@ -159,6 +160,14 @@ val mark_certified : dir:string -> string * int
     stale mark can never vouch for state it did not see.  Raises
     [Solver_error.Error (Bad_input _)] when there is no store or the
     chain is broken. *)
+
+val mark_certified_ident : dir:string -> key:string -> snapshot:int -> unit
+(** {!mark_certified} for the state a certification actually checked:
+    writes the mark only if [(key, snapshot)] is still the chain tip,
+    decided in the same chain parse as the write, and otherwise raises
+    [Solver_error.Error (Bad_input _)] and leaves the store as it
+    was.  A save committed between a check's load and its mark is
+    therefore never recorded as certified. *)
 
 val certified : t -> bool
 (** The loaded chain carries a certification mark naming its own tip —

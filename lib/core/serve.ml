@@ -610,6 +610,9 @@ module Follow = struct
     st.f_stat <- stat;
     Rejected { reason }
 
+  let not_certified snapshot =
+    Printf.sprintf "snapshot %d is not certified (require-certified; run `ptacli certify` and retry)" snapshot
+
   let poll st =
     let stat = manifest_stat st.f_dir in
     if stat = st.f_stat then Unchanged
@@ -621,19 +624,21 @@ module Follow = struct
            nothing to do. *)
         st.f_stat <- stat;
         Unchanged
+      | Some tip when st.f_require_certified && not tip.Store.certified ->
+        (* The manifests already say the tip is unvouched-for: reject
+           without reading a data file. *)
+        reject st stat (not_certified tip.Store.snapshot)
       | Some _ -> (
         let t0 = Unix.gettimeofday () in
         match Store.load ~dir:st.f_dir with
         | exception Solver_error.Error e -> reject st stat (Solver_error.to_string e)
         | store when st.f_require_certified && not (Store.certified store) ->
-          (* The loaded tip carries no matching certification mark:
-             it may be byte-perfect yet semantically wrong (a bad delta
-             fold, a missed remap), which is exactly what this gate
-             exists to keep off the wire.  The old snapshot keeps
-             serving. *)
-          reject st stat
-            (Printf.sprintf "snapshot %d is not certified (require-certified; run `ptacli certify` and retry)"
-               (Store.snapshot store))
+          (* The loaded tip carries no matching certification mark (a
+             save committed after [read_tip]): it may be byte-perfect
+             yet semantically wrong (a bad delta fold, a missed remap),
+             which is exactly what this gate exists to keep off the
+             wire.  The old snapshot keeps serving. *)
+          reject st stat (not_certified (Store.snapshot store))
         | store -> (
           match server_of_store store with
           | srv ->

@@ -229,12 +229,14 @@ module Follow : sig
   (** Start following [dir]; the source's current server is assumed to
       be the store currently on disk there (the driver loads it before
       calling this).  With [require_certified] (default off), a
-      candidate is swapped in only when the store that was loaded
-      carries a certification mark naming its own tip
-      ({!Bddrel.Store.certified}); otherwise it is [Rejected] and the
-      old snapshot keeps serving — byte-perfect but semantically
-      unvouched-for saves never reach the wire, even when a save
-      commits between the identity read and the load. *)
+      candidate whose tip the manifests show unmarked
+      ({!Bddrel.Store.tip}'s [certified]) is [Rejected] before any
+      data file is read, and one that is loaded is swapped in only
+      when the loaded store carries a certification mark naming its
+      own tip ({!Bddrel.Store.certified}); otherwise the old snapshot
+      keeps serving — byte-perfect but semantically unvouched-for
+      saves never reach the wire, even when a save commits between the
+      identity read and the load. *)
 
   val served_ident : state -> string * int
   (** The [(key, snapshot)] identity last swapped in (or initial). *)

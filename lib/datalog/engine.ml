@@ -5,13 +5,10 @@ type options = {
   reorder_joins : bool;
   pushdown : bool;
   gc_interval : int;
-  node_hint : int;
-  cache_bits : int;
   budget : Budget.t option;
   page_bits : int option; (* arena page size override, log2 slots *)
   mem_cap_bytes : int option; (* resident node-page byte cap; spill past it *)
   spill_path : string option; (* arena spill file (default: temp file) *)
-  gc_mode : Bdd.gc_mode option; (* default: Space.create's Compact *)
 }
 
 let default_options =
@@ -22,13 +19,10 @@ let default_options =
     reorder_joins = false;
     pushdown = true;
     gc_interval = 256;
-    node_hint = 1 lsl 16;
-    cache_bits = 18;
     budget = None;
     page_bits = None;
     mem_cap_bytes = None;
     spill_path = None;
-    gc_mode = None;
   }
 
 let toggles_of_options o =
@@ -336,8 +330,8 @@ let create ?(options = default_options) ?element_names ?domain_order (program : 
       | None -> fail "%s" message)
   in
   let sp =
-    Space.create ~node_hint:options.node_hint ~cache_bits:options.cache_bits ?page_bits:options.page_bits
-      ?mem_cap_bytes:options.mem_cap_bytes ?spill_path:options.spill_path ?gc_mode:options.gc_mode ()
+    Space.create ~node_hint:(1 lsl 16) ~cache_bits:18 ?page_bits:options.page_bits ?mem_cap_bytes:options.mem_cap_bytes
+      ?spill_path:options.spill_path ()
   in
   let t =
     {
@@ -438,7 +432,7 @@ let create ?(options = default_options) ?element_names ?domain_order (program : 
             let _, _, b = !r in
             b)
           !delta_refs);
-  (* Compacting collections renumber every surviving node.  The root
+  (* Collections renumber every surviving node.  The root
      function above only marks; this hook rewrites every handle the
      engine stores outside registered refs.  The delta cache keys on a
      pre-GC handle, so it is invalidated rather than remapped (its
@@ -677,10 +671,9 @@ type violation = {
 let check_fixpoint ?(max_violations = max_int) t =
   let man = Space.man t.sp in
   (* Root the accumulating diffs for the duration of the scan: later
-     plan evaluations may trigger a collection, and under [Compact]
-     the rooted list is rewritten in place with relocated handles —
-     so the handles are re-read from [keep] at the end, never from
-     stale captures. *)
+     plan evaluations may trigger a collection, which rewrites the
+     rooted list in place with relocated handles — so the handles are
+     re-read from [keep] at the end, never from stale captures. *)
   let keep = ref [] in
   let metas = ref [] in
   Bdd.add_root_list man keep;

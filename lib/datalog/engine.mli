@@ -35,8 +35,6 @@ type options = {
       (** early quantification: project each variable away at its last
           use instead of at the end of the rule *)
   gc_interval : int;  (** run [Bdd.gc] every N rule applications; 0 = never *)
-  node_hint : int;
-  cache_bits : int;
   budget : Budget.t option;
       (** resource budget: installed on the manager at {!create} (node
           and allocation limits enforced inside [Bdd.mk]) and polled by
@@ -52,9 +50,6 @@ type options = {
   spill_path : string option;
       (** spill file for evicted pages (a driver points this into its
           store's scratch area); [None] = a fresh temp file *)
-  gc_mode : Bdd.gc_mode option;
-      (** [None] defers to {!Space.create}'s default ({!Bdd.Compact}:
-          collections renumber survivors clustered by variable level) *)
 }
 
 val default_options : options

@@ -290,6 +290,7 @@ let test_gc_root_fn () =
   let m = fresh () in
   let stash = ref Bdd.bdd_true in
   Bdd.add_root_fn m (fun () -> [ !stash ]);
+  Bdd.on_remap m (fun mapf -> stash := mapf !stash);
   stash := bdd_of_table m n 0xABCD;
   Bdd.gc m;
   Alcotest.(check int) "root_fn keeps value" 0xABCD (table_of_bdd m n !stash)

@@ -174,6 +174,26 @@ let test_mark_invalidation () =
   Alcotest.(check bool) "re-mark names the new tip" true (tip_ident dir = Some remarked);
   Alcotest.(check bool) "and the new tip loads certified" true (loads_certified dir)
 
+(* A certification marks the state it checked: once a later save has
+   moved the tip, marking the checked identity raises and writes
+   nothing, while marking the current tip still works. *)
+let test_mark_checked_identity () =
+  let dir = copy_base "certify-mark-ident" in
+  let checked = Store.load ~dir in
+  let key = Store.key checked and snapshot = Store.snapshot checked in
+  Store.save ~dir ~key ~config:(Store.config checked) ~space:(Store.space checked)
+    ~relations:(Store.relations checked);
+  (match Store.mark_certified_ident ~dir ~key ~snapshot with
+  | () -> Alcotest.fail "marked a checked identity that is no longer the tip"
+  | exception Solver_error.Error (Solver_error.Bad_input _) -> ());
+  Alcotest.(check (option string)) "no mark written" None (mark_line dir);
+  Alcotest.(check bool) "the moved tip loads uncertified" false (loads_certified dir);
+  match tip_ident dir with
+  | None -> Alcotest.fail "no tip after the second save"
+  | Some (key, snapshot) ->
+    Store.mark_certified_ident ~dir ~key ~snapshot;
+    Alcotest.(check bool) "the current tip marks and loads certified" true (loads_certified dir)
+
 (* --- incremental and mem-capped results certify bit-identically --- *)
 
 let test_incremental_and_memcap_pass () =
@@ -273,6 +293,44 @@ let test_follow_require_certified () =
   | Serve.Follow.Rejected { reason } -> Alcotest.failf "ungated follower rejected a committed save: %s" reason
   | Serve.Follow.Unchanged -> Alcotest.fail "ungated follower missed the save"
 
+(* The gate reads the mark from the manifests before any data file: an
+   uncertified commit whose relations.bdd is corrupt is rejected as not
+   certified, not as a checksum error, because nothing was loaded.  The
+   old snapshot keeps answering, and a later certified save swaps in. *)
+let test_follow_rejects_from_manifests () =
+  let dir = tmp_dir "certify-follow-manifests" in
+  save_tiny ~dir;
+  ignore (Store.mark_certified ~dir);
+  let source = Serve.Source.create (Serve.make (Store.load ~dir)) in
+  let follower = Serve.Follow.make ~require_certified:true ~dir source in
+  let ask () =
+    let srv = Serve.Source.current source in
+    (Serve.handle srv (Serve.overlay srv) "points-to v0").Serve.lines
+  in
+  let answer = ask () in
+  Alcotest.(check bool) "the served snapshot answers" true (answer <> []);
+  let gen0 = Serve.Source.generation source in
+  save_tiny ~dir;
+  Faults.corrupt_file (Filename.concat (Filename.concat dir "store") "relations.bdd") ~at:5 "XYZ";
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  (match Serve.Follow.poll follower with
+  | Serve.Follow.Rejected { reason } ->
+    Alcotest.(check bool) ("rejected as not certified: " ^ reason) true (contains reason "is not certified")
+  | Serve.Follow.Swapped _ -> Alcotest.fail "a corrupt uncertified commit was swapped in"
+  | Serve.Follow.Unchanged -> Alcotest.fail "the uncertified commit went unnoticed");
+  Alcotest.(check int) "old snapshot keeps serving" gen0 (Serve.Source.generation source);
+  Alcotest.(check (list string)) "old snapshot answers" answer (ask ());
+  save_tiny ~dir;
+  let _, snapshot = Store.mark_certified ~dir in
+  match Serve.Follow.poll follower with
+  | Serve.Follow.Swapped s -> Alcotest.(check int) "the certified save swaps in" snapshot s.snapshot
+  | Serve.Follow.Rejected { reason } -> Alcotest.failf "certified save rejected: %s" reason
+  | Serve.Follow.Unchanged -> Alcotest.fail "certified save went unnoticed"
+
 (* The gate judges the store it loaded, not the identity it polled: a
    writer alternating [save] (uncertified) and [mark_certified] races
    a require-certified follower, so saves keep committing between the
@@ -327,11 +385,16 @@ let () =
           Alcotest.test_case "a domain the program lacks: shape mismatch" `Quick test_foreign_layout_refused;
         ] );
       ( "mark",
-        [ Alcotest.test_case "save_delta outdates the mark; save drops it" `Quick test_mark_invalidation ] );
+        [
+          Alcotest.test_case "save_delta outdates the mark; save drops it" `Quick test_mark_invalidation;
+          Alcotest.test_case "a moved tip refuses the checked identity's mark" `Quick test_mark_checked_identity;
+        ] );
       ( "follow",
         [
           Alcotest.test_case "require-certified rejects, then swaps once marked" `Quick
             test_follow_require_certified;
           Alcotest.test_case "the gate judges the store it loaded" `Quick test_follow_gate_under_churn;
+          Alcotest.test_case "an unmarked tip is rejected before its data is read" `Quick
+            test_follow_rejects_from_manifests;
         ] );
     ]

@@ -33,7 +33,9 @@ let sats man f =
   List.sort compare !acc
 
 (* A pool of rooted BDDs over a fresh manager: all literals plus
-   [extra] random combinations. *)
+   [extra] random combinations.  Collection renumbers handles and
+   rewrites the rooted list in place, so callers re-read it after every
+   [gc]/[freeze]. *)
 let build_pool rng man extra =
   let pool = ref [] in
   let add f = pool := f :: !pool in
@@ -51,25 +53,29 @@ let build_pool rng man extra =
       | 3 -> Bdd.mk_xor man (pick ()) (pick ())
       | _ -> Bdd.mk_not man (pick ()))
   done;
-  Bdd.add_root_fn man (fun () -> !pool);
+  Bdd.add_root_list man pool;
   pool
 
 let setup ?(extra = 60) seed =
   let rng = Random.State.make [| seed |] in
   let man = Bdd.create ~node_hint:256 ~nvars () in
   let pool = build_pool rng man extra in
-  (rng, man, Array.of_list !pool)
+  (rng, man, pool)
+
+let read pool = Array.of_list !pool
 
 (* --- snapshot isolation --------------------------------------------- *)
 
 let test_frozen_matches_live () =
-  let rng, man, pool = setup 0xF7EE2E in
-  (* Unrooted garbage, so the freeze-time GC has something to sweep. *)
+  let rng, man, rooted = setup 0xF7EE2E in
+  let pool = read rooted in
+  (* Unrooted garbage, so the freeze-time GC has something to collect. *)
   for _ = 1 to 50 do
     ignore (Bdd.mk_and man pool.(Random.State.int rng (Array.length pool)) (Bdd.ithvar man 0))
   done;
   let reference = Array.map (sats man) pool in
   let fz = Bdd.freeze man in
+  let pool = read rooted in
   Alcotest.(check bool) "frozen live nodes positive" true (Bdd.frozen_live_nodes fz > 0);
   let ov = Bdd.overlay fz in
   Array.iteri
@@ -92,7 +98,7 @@ let test_frozen_matches_live () =
   (* And the plain handles still answer the same too (roots held). *)
   Array.iteri
     (fun i f -> Alcotest.(check (list int)) (Printf.sprintf "pool %d live" i) reference.(i) (sats man f))
-    pool
+    (read rooted)
 
 (* --- random op differential, plain manager as oracle ----------------- *)
 
@@ -140,11 +146,13 @@ let run_ops man pool ops =
     ops
 
 let test_overlay_differential () =
-  let rng, man, pool = setup 0xD1FF in
-  let x0 = Bdd.ithvar man 0 and x1 = Bdd.ithvar man 1 in
-  let conj = ref (Bdd.mk_and man x0 x1) in
+  let rng, man, rooted = setup 0xD1FF in
+  let conj = ref (Bdd.mk_and man (Bdd.ithvar man 0) (Bdd.ithvar man 1)) in
   Bdd.add_root man conj;
   let fz = Bdd.freeze man in
+  let pool = read rooted in
+  (* The literals are pool members, so they survived under new numbers. *)
+  let x0 = Bdd.ithvar man 0 and x1 = Bdd.ithvar man 1 in
   let ov = Bdd.overlay fz in
   (* Three rounds against the plain oracle, resetting the overlay
      between rounds: every round restarts from snapshot handles only,
@@ -179,8 +187,9 @@ let test_overlay_differential () =
 (* --- concurrent overlays ---------------------------------------------- *)
 
 let test_concurrent_overlays () =
-  let rng, man, pool = setup 0xC0C0 in
+  let rng, man, rooted = setup 0xC0C0 in
   let fz = Bdd.freeze man in
+  let pool = read rooted in
   let ops = random_ops rng (Array.length pool) 60 in
   let reference = run_ops man pool ops in
   let domains = List.init 4 (fun _ -> Stdlib.Domain.spawn (fun () -> run_ops (Bdd.overlay fz) pool ops)) in
@@ -192,8 +201,9 @@ let test_concurrent_overlays () =
 (* --- counting, constants, budget ------------------------------------- *)
 
 let test_counting_and_budget () =
-  let _, man, pool = setup ~extra:40 0x5A7C0 in
+  let _, man, rooted = setup ~extra:40 0x5A7C0 in
   let ov = Bdd.overlay (Bdd.freeze man) in
+  let pool = read rooted in
   Array.iteri
     (fun i f ->
       Alcotest.(check (float 1e-9))

@@ -102,7 +102,7 @@ let test_add_method_incremental () =
   in
   Alcotest.(check int) "first delta layer" 1 layer;
   Alcotest.(check bool) "read_tip follows the chain tip" true
-    (Store.read_tip ~dir = Some { Store.key = "edited-key"; snapshot = 2; layers = 1 });
+    (Store.read_tip ~dir = Some { Store.key = "edited-key"; snapshot = 2; layers = 1; certified = false });
   let st = Store.load ~dir in
   Alcotest.(check string) "loaded key is the tip's" "edited-key" (Store.key st);
   Alcotest.(check int) "one layer folded" 1 (Store.layers st);
@@ -249,7 +249,7 @@ let check_chain ctx dir ~expect ~key ~snapshot ~layers =
   Alcotest.(check string) (ctx ^ ": tip key") key (Store.key st);
   Alcotest.(check int) (ctx ^ ": snapshot") snapshot (Store.snapshot st);
   Alcotest.(check int) (ctx ^ ": layers") layers (Store.layers st);
-  Alcotest.(check bool) (ctx ^ ": read_tip is tip") true (Store.read_tip ~dir = Some { Store.key; snapshot; layers });
+  Alcotest.(check bool) (ctx ^ ": read_tip is tip") true (Store.read_tip ~dir = Some { Store.key; snapshot; layers; certified = Store.certified st });
   List.iter
     (fun (c : Store.check) ->
       if not c.Store.chk_ok then Alcotest.failf "%s: verify: %s: %s" ctx c.Store.chk_name c.Store.chk_detail)

@@ -534,6 +534,72 @@ let test_initial_load_failure () =
     Alcotest.failf "follower on a missing store: expected exit 1, got %s" d);
   Alcotest.(check bool) "no socket file left behind" false (Sys.file_exists sock)
 
+(* --- Capacity: --max-clients backpressure ---------------------------
+   With one connection slot taken, the next client of `serve` or
+   `route` gets an explicit busy reply and a hang-up, and serve counts
+   it in [stats]. *)
+
+let wait_for_log log needle =
+  let deadline = Unix.gettimeofday () +. 15.0 in
+  let has () =
+    Sys.file_exists log
+    && List.exists (String.starts_with ~prefix:needle) (In_channel.with_open_bin log In_channel.input_lines)
+  in
+  while not (has ()) do
+    if Unix.gettimeofday () > deadline then Alcotest.failf "%s never logged %S" log needle;
+    Thread.delay 0.05
+  done
+
+(* Start [args] listening on [sock], hold its one slot with a served
+   client, and check a second client is turned away with [busy_line].
+   Returns the holding client and the daemon's pid. *)
+let second_client_is_busy ~args ~sock ~log ~cmd ~busy_line =
+  let pid = spawn args log in
+  (* The banner is printed after [listen]; a probe connection would
+     itself occupy the slot. *)
+  wait_for_log log (cmd ^ ": listening on");
+  let first = connect sock in
+  let status, _ = ask_framed first "stats" in
+  Alcotest.(check string) (cmd ^ ": the first client is served") "ok" status;
+  let second = connect sock in
+  let reply = In_channel.input_all second.ic in
+  Unix.close second.fd;
+  Alcotest.(check string) (cmd ^ ": the second client is busy") ("err busy 0 0us\n" ^ busy_line ^ "\n") reply;
+  (first, pid)
+
+let stop_daemon pid =
+  Unix.kill pid Sys.sigterm;
+  ignore (Unix.waitpid [] pid)
+
+let test_serve_busy () =
+  let dir = tmp_dir "repl-busy" in
+  save_version ~dir 1;
+  let sockdir = tmp_dir "repl-busy-socks" in
+  ignore (Sys.command (Printf.sprintf "mkdir -p %s" (Filename.quote sockdir)));
+  let sock = Filename.concat sockdir "s.sock" and log = Filename.concat sockdir "s.log" in
+  let first, pid =
+    second_client_is_busy ~sock ~log ~cmd:"serve"
+      ~args:[| bin; "serve"; "--store"; dir; "--socket"; sock; "--max-clients"; "1" |]
+      ~busy_line:"server at capacity (1 connections); retry later"
+  in
+  let _, body = ask_framed first "stats" in
+  Alcotest.(check bool) "stats counts the busy reply" true (List.mem "rejected-busy 1" body);
+  disconnect first;
+  stop_daemon pid
+
+let test_route_busy () =
+  let sockdir = tmp_dir "repl-route-busy" in
+  ignore (Sys.command (Printf.sprintf "mkdir -p %s" (Filename.quote sockdir)));
+  let sock = Filename.concat sockdir "r.sock" and log = Filename.concat sockdir "r.log" in
+  let first, pid =
+    second_client_is_busy ~sock ~log ~cmd:"route"
+      ~args:
+        [| bin; "route"; "--socket"; sock; "--backend"; Filename.concat sockdir "none.sock"; "--max-clients"; "1" |]
+      ~busy_line:"router at capacity (1 connections); retry later"
+  in
+  disconnect first;
+  stop_daemon pid
+
 let () =
   Alcotest.run "replication"
     [
@@ -547,5 +613,10 @@ let () =
         [
           Alcotest.test_case "followers + router under kills and torn saves" `Quick test_process_soak;
           Alcotest.test_case "initial load failure exits 1 without binding" `Quick test_initial_load_failure;
+        ] );
+      ( "busy",
+        [
+          Alcotest.test_case "serve --max-clients 1 turns a second client away" `Quick test_serve_busy;
+          Alcotest.test_case "route --max-clients 1 turns a second client away" `Quick test_route_busy;
         ] );
     ]

@@ -235,6 +235,39 @@ let test_dump_unknown_relation () =
     check_bool "lists the dumpable vPC" true (List.mem "vPC" (String.split_on_char ' ' line))
   | lines -> Alcotest.failf "expected one error line before any solve, got:\n%s" (String.concat "\n" lines)
 
+(* Out-of-range node-arena knobs are bad input: every command that takes
+   them exits 1 naming the flag and its range before reading a file
+   (the program and store paths here do not exist). *)
+let test_bad_arena_knobs () =
+  let log = Filename.temp_file "whalelam-knobs" ".out" in
+  let run args =
+    let logfd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+    let pid = Unix.create_process "../bin/ptacli.exe" (Array.of_list ("ptacli" :: args)) Unix.stdin logfd logfd in
+    Unix.close logfd;
+    let status = snd (Unix.waitpid [] pid) in
+    (status, String.trim (In_channel.with_open_bin log In_channel.input_all))
+  in
+  let missing = "/nonexistent/whalelam/p.jir" and store = [ "--store"; "/nonexistent/whalelam/st" ] in
+  List.iter
+    (fun (args, expect) ->
+      let what = String.concat " " args in
+      let status, out = run args in
+      check_bool (what ^ ": exit 1") true (status = Unix.WEXITED 1);
+      check_bool (what ^ ": one line naming the flag and range: " ^ out) true (out = expect))
+    [
+      ([ "analyze"; missing; "--page-bits"; "30" ], "ptacli: --page-bits: 30 is outside the valid range 4 to 22");
+      ([ "analyze"; missing; "--page-bits"; "2" ], "ptacli: --page-bits: 2 is outside the valid range 4 to 22");
+      ( [ "analyze"; missing; "--mem-cap"; "0" ],
+        Printf.sprintf "ptacli: --mem-cap: 0 is outside the valid range 1 to %d MiB" (max_int lsr 20) );
+      ( [ "analyze"; missing; "--mem-cap=-5" ],
+        Printf.sprintf "ptacli: --mem-cap: -5 is outside the valid range 1 to %d MiB" (max_int lsr 20) );
+      ([ "update"; missing; "--page-bits"; "23" ] @ store, "ptacli: --page-bits: 23 is outside the valid range 4 to 22");
+      ([ "certify"; missing; "--page-bits"; "3" ] @ store, "ptacli: --page-bits: 3 is outside the valid range 4 to 22");
+      ( [ "store"; "certify"; missing; "--mem-cap"; "0" ] @ store,
+        Printf.sprintf "ptacli: --mem-cap: 0 is outside the valid range 1 to %d MiB" (max_int lsr 20) );
+    ];
+  Sys.remove log
+
 (* A .bddvarorder naming an undeclared or repeated domain is bad input:
    ptacli datalog exits 1 with the directive's file:line, not 3 with an
    internal error. *)
@@ -377,6 +410,7 @@ let () =
           Alcotest.test_case "injected corruption" `Quick test_corrupt_file_injection;
           Alcotest.test_case "no fd leak on failed loads" `Quick test_no_fd_leak;
           Alcotest.test_case "analyze --dump of an unknown relation exits 1" `Quick test_dump_unknown_relation;
+          Alcotest.test_case "out-of-range arena knobs exit 1 before any file is read" `Quick test_bad_arena_knobs;
           Alcotest.test_case "datalog with a bad .bddvarorder exits 1" `Quick test_bad_bddvarorder;
           Alcotest.test_case "route refuses a non-socket path as route:" `Quick test_route_socket_is_file;
         ] );

@@ -58,7 +58,8 @@ let tip_key dir = Option.map (fun (t : Store.tip) -> t.key) (Store.read_tip ~dir
 let test_manifest () =
   let dir = Lazy.force saved_dir in
   Alcotest.(check bool) "exists" true (Store.exists ~dir);
-  Alcotest.(check bool) "read_tip" true (Store.read_tip ~dir = Some { Store.key = "test-key"; snapshot = 1; layers = 0 });
+  Alcotest.(check bool) "read_tip" true
+    (Store.read_tip ~dir = Some { Store.key = "test-key"; snapshot = 1; layers = 0; certified = false });
   Alcotest.(check bool) "no store elsewhere" false (Store.exists ~dir:(dir ^ "-nope"));
   Alcotest.(check bool) "no tip elsewhere" true (Store.read_tip ~dir:(dir ^ "-nope") = None);
   let st = Store.load ~dir in
