@@ -1,8 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the
    paper's evaluation (§6) over the 21 scaled synthetic benchmarks.
 
-     dune exec bench/main.exe -- [--table fig3|fig4|fig5|fig6|scaling|ablations|persist|update|certify|serve|swap|mem|example1|bechamel|all]
-                                 (comma-separate to run several, e.g. --table fig4,persist)
+     dune exec bench/main.exe -- [--table fig3|fig4|fig5|fig6|scaling|ablations|update|certify|mem|example1|bechamel|all]
+                                 (comma-separate to run several, e.g. --table fig4,update)
                                  [--scale S] [--benchmarks a,b,c]
                                  [--json OUT.json]
 
@@ -139,9 +139,7 @@ let write_json path =
      the engine carry a zeroed arena object.  \
      v5 adds the update table: cold-solve vs incremental-update rows time a one-method \
      edit re-solved through the delta-layer store, and load-N-layers/load-compacted rows sweep chain length.  \
-     v4 added the serve table: algo workers-N rows record wall seconds for the 1k-query \
-     test_serve mix on N worker domains over a frozen space (queries/sec = 1000/seconds; cold solve and \
-     store load excluded).  v3 added per-rule attribution: each engine-backed row carries a rules array \
+     v3 added per-rule attribution: each engine-backed row carries a rules array \
      (rule = file:line of the Datalog rule, head predicate, seconds, applications, bdd_cache_lookups); \
      rows measured outside the engine carry zero solve counters and an empty rules array\",\n";
   Printf.fprintf oc "  \"scale\": %g,\n  \"rows\": [" !scale;
@@ -273,20 +271,13 @@ let fig6 () =
     (fun profile ->
       let { fg; ctx; _ } = prepare profile in
       let cell r = Printf.sprintf "%5.1f / %5.1f" r.Analyses.multi_pct r.Analyses.refinable_pct in
-      let v1 =
-        Analyses.refinement_ratios (Analyses.run_basic ~algo:Analyses.Algo1 fg ~query:Queries.refinement_ci)
-          ~per_clone:false
-      in
-      let v2 =
-        Analyses.refinement_ratios (Analyses.run_basic ~algo:Analyses.Algo2 fg ~query:Queries.refinement_ci)
-          ~per_clone:false
-      in
-      let v3 = Analyses.refinement_ratios (Analyses.run_cs fg ctx ~query:Queries.refinement_projected_cs) ~per_clone:false in
-      let v4 =
-        Analyses.refinement_ratios (Analyses.run_cs_types fg ctx ~query:Queries.refinement_projected_ts) ~per_clone:false
-      in
-      let v5 = Analyses.refinement_ratios (Analyses.run_cs fg ctx ~query:Queries.refinement_full_cs) ~per_clone:true in
-      let v6 = Analyses.refinement_ratios (Analyses.run_cs_types fg ctx ~query:Queries.refinement_full_ts) ~per_clone:true in
+      let ratios ~per_clone r = Analyses.refinement_ratios (Analyses.relation r) ~per_clone in
+      let v1 = ratios ~per_clone:false (Analyses.run_basic ~algo:Analyses.Algo1 fg ~query:Queries.refinement_ci) in
+      let v2 = ratios ~per_clone:false (Analyses.run_basic ~algo:Analyses.Algo2 fg ~query:Queries.refinement_ci) in
+      let v3 = ratios ~per_clone:false (Analyses.run_cs fg ctx ~query:Queries.refinement_projected_cs) in
+      let v4 = ratios ~per_clone:false (Analyses.run_cs_types fg ctx ~query:Queries.refinement_projected_ts) in
+      let v5 = ratios ~per_clone:true (Analyses.run_cs fg ctx ~query:Queries.refinement_full_cs) in
+      let v6 = ratios ~per_clone:true (Analyses.run_cs_types fg ctx ~query:Queries.refinement_full_ts) in
       Printf.printf "%-11s | %13s | %13s | %13s | %13s | %13s | %13s\n" profile.Synth.Profiles.name (cell v1)
         (cell v2) (cell v3) (cell v4) (cell v5) (cell v6))
     (profiles ());
@@ -434,10 +425,8 @@ let ablations () =
   print_endline "precision strictly improves from unification to inclusion to 1-CFA to";
   print_endline "full cloning (fewer points-to pairs = more precise)."
 
-(* --- Persistence: store save/load and warm query latency --- *)
-
-(* Rows measured outside the engine (store save/load, query batches)
-   have no solve counters; only the seconds column is meaningful. *)
+(* Rows measured outside the engine (store loads, certifications) have
+   no solve counters; only the seconds column is meaningful. *)
 let timed_stats seconds =
   {
     Engine.rule_applications = 0;
@@ -463,71 +452,6 @@ let timed_stats seconds =
         resident_bytes = 0;
       };
   }
-
-(* 100 mixed queries (50 points-to, 25 alias, 25 reverse points-to)
-   over a (variable, heap) relation — the serve daemon's workload. *)
-let query_batch pt =
-  let man = Space.man (Relation.space pt) and fpt = Relation.freeze pt in
-  let dom_of name = (Relation.find_attr pt name).Relation.block.Space.dom in
-  let nv = Domain.size (dom_of "variable") and nh = Domain.size (dom_of "heap") in
-  for i = 0 to 49 do
-    ignore (Queries.points_to man fpt ~var:(i * 13 mod nv))
-  done;
-  for i = 0 to 24 do
-    ignore (Queries.alias_heaps man fpt ~v1:(i * 13 mod nv) ~v2:(((i * 29) + 1) mod nv))
-  done;
-  for i = 0 to 24 do
-    ignore (Queries.pointed_by man fpt ~heap:(i * 7 mod nh))
-  done
-
-let persist () =
-  header "Persistence: cold solve vs warm store (gantt, gruntspud)";
-  (* Earlier tables (fig4 etc.) leave a large major heap; without a
-     compact their deferred GC work gets charged to the load/query
-     timings below, drowning the store's own cost. *)
-  Gc.compact ();
-  Printf.printf "%-11s %9s %9s %9s %10s %10s %9s\n" "name" "cs-solve" "save" "load" "cold-100q" "warm-100q"
-    "speedup";
-  List.iter
-    (fun name ->
-      match Synth.Profiles.find name with
-      | None -> ()
-      | Some profile ->
-        let { fg; ctx; _ } = prepare profile in
-        let dir = Filename.concat (Filename.get_temp_dir_name ()) ("whalelam-bench-store-" ^ name) in
-        let cs, _ = time_run (fun () -> Analyses.run_cs fg ctx) in
-        record ~table:"persist" ~bench:name ~algo:"cold-solve" cs.Analyses.stats;
-        let eng = cs.Analyses.engine in
-        let with_pt vpc f =
-          let pt = Relation.project vpc [ "variable"; "heap" ] in
-          Fun.protect ~finally:(fun () -> Relation.dispose pt) (fun () -> f pt)
-        in
-        let t_cold_q =
-          with_pt (Analyses.relation cs "vPC") (fun pt -> snd (time_run (fun () -> query_batch pt)))
-        in
-        record ~table:"persist" ~bench:name ~algo:"cold-query-batch" (timed_stats t_cold_q);
-        let _, t_save =
-          time_run (fun () ->
-              Bddrel.Store.save ~dir ~key:"bench" ~config:[ ("benchmark", name) ] ~space:(Engine.space eng)
-                ~relations:(Engine.exported_relations eng))
-        in
-        record ~table:"persist" ~bench:name ~algo:"store-save" (timed_stats t_save);
-        let st, t_load = time_run (fun () -> Bddrel.Store.load ~dir) in
-        record ~table:"persist" ~bench:name ~algo:"store-load" (timed_stats t_load);
-        let t_warm =
-          with_pt
-            (Option.get (Bddrel.Store.find st "vPC"))
-            (fun pt -> snd (time_run (fun () -> query_batch pt)))
-        in
-        record ~table:"persist" ~bench:name ~algo:"warm-query-batch" (timed_stats t_warm);
-        let t_solve = cs.Analyses.stats.Engine.solve_seconds in
-        Printf.printf "%-11s %8.3fs %8.3fs %8.3fs %9.4fs %9.4fs %8.1fx\n" name t_solve t_save t_load t_cold_q
-          t_warm
-          ((t_solve +. t_cold_q) /. (t_load +. t_warm)))
-    [ "gantt"; "gruntspud" ];
-  print_endline "\nShape to check: answering a 100-query batch from a loaded store (load + warm)";
-  print_endline "beats re-solving (cs-solve + cold batch) by well over an order of magnitude;";
-  print_endline "save/load cost is a small fraction of one solve."
 
 (* --- Incremental update: single-edit re-solve vs cold --- *)
 
@@ -655,231 +579,6 @@ let certify_bench () =
   print_endline "solve; the claimed-context cs checker's single round over the final vPC";
   print_endline "costs more than half of its solve, up to about all of it."
 
-(* --- Warm-query serving: frozen space, worker domains --- *)
-
-(* The test_serve synthetic store: 48 variables over a sparse 128k
-   heap domain, two of them with a 60k fan-out so alias/leak queries
-   do real BDD work.  Same seeds as the test, so this measures exactly
-   the soak workload. *)
-let serve_bench () =
-  header "Serve: warm queries/sec vs worker domains (frozen space, per-domain overlays)";
-  let nv = 48 and nh = 131072 in
-  let rng = Random.State.make [| 0x5EED; 42 |] in
-  let tbl = Hashtbl.create 4096 in
-  for v = 0 to 1 do
-    let start = Hashtbl.length tbl in
-    while Hashtbl.length tbl - start < 60000 do
-      Hashtbl.replace tbl (v, Random.State.int rng nh) ()
-    done
-  done;
-  for v = 2 to nv - 1 do
-    for _ = 1 to 1 + Random.State.int rng 8 do
-      Hashtbl.replace tbl (v, Random.State.int rng nh) ()
-    done
-  done;
-  let tuples = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl []) in
-  let heaps_of = Array.make nv [] in
-  List.iter (fun (v, h) -> heaps_of.(v) <- h :: heaps_of.(v)) tuples;
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "whalelam-bench-serve" in
-  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
-  let sp = Space.create () in
-  let vdom = Domain.make ~name:"V" ~size:nv ~element_names:(Array.init nv (Printf.sprintf "v%d")) () in
-  let hdom = Domain.make ~name:"H" ~size:nh ~element_names:(Array.init nh (Printf.sprintf "h%d")) () in
-  let vb = Space.alloc sp vdom and hb = Space.alloc sp hdom in
-  let vp =
-    Relation.of_tuples sp ~name:"vP"
-      [ { Relation.attr_name = "variable"; block = vb }; { Relation.attr_name = "heap"; block = hb } ]
-      (List.map (fun (v, h) -> [| v; h |]) tuples)
-  in
-  Bddrel.Store.save ~dir ~key:"bench-serve" ~config:[] ~space:sp ~relations:[ vp ];
-  let st = Bddrel.Store.load ~dir in
-  let srv = Pta.Serve.make st in
-  (* The test_serve 1k mixed query soak (same slot layout and seed). *)
-  let qrng = Random.State.make [| 0xBADCAFE |] in
-  let malformed =
-    [| ""; "   "; "# just a comment"; "bogus"; "points-to"; "alias v1"; "points-to nosuchvar"; "leak h999999"; "count nope"; "vuln"; "refine" |]
-  in
-  let queries =
-    Array.init 1000 (fun i0 ->
-        let i = i0 + 1 in
-        let rv ?(lo = 2) () = lo + Random.State.int qrng (nv - lo) in
-        match i mod 10 with
-        | 0 | 1 | 2 -> Printf.sprintf "points-to v%d" (rv ())
-        | 3 | 4 -> Printf.sprintf "alias v%d v%d" (rv ()) (rv ())
-        | 5 ->
-          let v = rv () in
-          Printf.sprintf "leak h%d" (List.nth heaps_of.(v) (Random.State.int qrng (List.length heaps_of.(v))))
-        | 6 -> "count vP"
-        | 7 | 8 -> malformed.(Random.State.int qrng (Array.length malformed))
-        | _ -> if i mod 2 = 0 then "health" else "stats")
-  in
-  let roomy = { Pta.Serve.rq_timeout_s = Some 30.0; rq_max_allocs = Some 2_000_000; rq_max_nodes = None } in
-  (* One timed run: W domains, each with its own overlay, pulling query
-     indices off a shared atomic counter until the mix is drained.
-     Cold solve and store load happened above, outside the clock. *)
-  let run_workers w =
-    let stats = Pta.Serve.make_stats () in
-    let idx = Atomic.make 0 in
-    let worker () =
-      let ov = Pta.Serve.overlay srv in
-      let rec go () =
-        let i = Atomic.fetch_and_add idx 1 in
-        if i < Array.length queries then begin
-          ignore (Pta.Serve.serve_line ~limits:roomy ~stats srv ov queries.(i));
-          go ()
-        end
-      in
-      go ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let domains = List.init w (fun _ -> Stdlib.Domain.spawn worker) in
-    List.iter Stdlib.Domain.join domains;
-    Unix.gettimeofday () -. t0
-  in
-  (* Warm-up pass outside the clock: fault in name tables and let each
-     evaluator path run once. *)
-  ignore (run_workers 1);
-  let cores = Stdlib.Domain.recommended_domain_count () in
-  Printf.printf "host cores (recommended_domain_count): %d\n\n" cores;
-  Printf.printf "%-9s %10s %12s %9s\n" "workers" "seconds" "queries/sec" "speedup";
-  let base = ref 0.0 in
-  List.iter
-    (fun w ->
-      let dt = run_workers w in
-      if w = 1 then base := dt;
-      let qps = float_of_int (Array.length queries) /. dt in
-      record ~table:"serve" ~bench:"synthetic-48v-128kh" ~algo:(Printf.sprintf "workers-%d" w)
-        (timed_stats dt);
-      Printf.printf "%-9d %9.3fs %12.0f %8.2fx\n" w dt qps (!base /. dt))
-    [ 1; 4; 8 ];
-  print_endline "\nShape to check: queries/sec scales with worker domains over one frozen";
-  print_endline "space (>=2.5x at 4 workers on a >=4-core host; on fewer cores the domains";
-  print_endline "time-slice and the ratio is bounded by the core count).  Cold solve and";
-  print_endline "store load are excluded; answers are bit-identical at every width (the";
-  print_endline "test_serve parallel soak asserts that)."
-
-(* --- Hot-swap: follower swap latency + serving under snapshot churn ---
-   The replicated serving tier's two costs: how long a follower's
-   verify + load + freeze + swap takes (the window during which it
-   serves the *old* snapshot, never nothing), and what snapshot churn
-   does to warm-query throughput (workers rebuild their overlay per swap,
-   so some cache warmth is lost but the request path never blocks on a
-   load). *)
-
-let swap_bench () =
-  header "Hot swap: follower swap latency and throughput under snapshot churn";
-  let nv = 48 and nh = 16384 in
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "whalelam-bench-swap" in
-  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
-  (* Content encodes its version ([v2] -> h(32+version)); a ~5k-tuple
-     filler relation gives load + freeze something real to chew on. *)
-  let save_version version =
-    let sp = Space.create () in
-    let vdom = Domain.make ~name:"V" ~size:nv ~element_names:(Array.init nv (Printf.sprintf "v%d")) () in
-    let hdom = Domain.make ~name:"H" ~size:nh ~element_names:(Array.init nh (Printf.sprintf "h%d")) () in
-    let vb = Space.alloc sp vdom and hb = Space.alloc sp hdom in
-    let tuples =
-      List.concat_map
-        (fun v -> if v = 2 then [ [| 2; 32 + version |] ] else [ [| v; v |]; [| v; v + 8 |] ])
-        (List.init nv Fun.id)
-    in
-    let vp =
-      Relation.of_tuples sp ~name:"vP"
-        [ { Relation.attr_name = "variable"; block = vb }; { Relation.attr_name = "heap"; block = hb } ]
-        tuples
-    in
-    let hb2 = Space.alloc sp hdom in
-    let rng = Random.State.make [| 0xF111; version |] in
-    let filler =
-      Relation.of_tuples sp ~name:"filler"
-        [ { Relation.attr_name = "a"; block = hb }; { Relation.attr_name = "b"; block = hb2 } ]
-        (List.init 5_000 (fun _ -> [| Random.State.int rng nh; Random.State.int rng nh |]))
-    in
-    Bddrel.Store.save ~dir ~key:"bench-swap-0123" ~config:[] ~space:sp ~relations:[ vp; filler ]
-  in
-  save_version 1;
-  let source = Pta.Serve.Source.create (Pta.Serve.make (Bddrel.Store.load ~dir)) in
-  let stats = Pta.Serve.make_stats () in
-  let pool = Pta.Serve.Pool.create ~stats ~workers:4 source in
-  let follow = Pta.Serve.Follow.make ~dir source in
-  let next_version = ref 2 in
-  let one_swap () =
-    save_version !next_version;
-    incr next_version;
-    match Pta.Serve.Follow.poll follow with
-    | Pta.Serve.Follow.Swapped { seconds; _ } ->
-      Pta.Serve.Pool.poke pool;
-      seconds
-    | Pta.Serve.Follow.Unchanged | Pta.Serve.Follow.Rejected _ -> failwith "bench swap did not happen"
-  in
-  (* Swap latency over 10 swaps (save cost excluded: [seconds] is the
-     follower's own verify + load + freeze + swap). *)
-  let lats = List.init 10 (fun _ -> one_swap ()) in
-  let avg = List.fold_left ( +. ) 0.0 lats /. 10.0 in
-  let worst = List.fold_left max 0.0 lats in
-  record ~table:"swap" ~bench:"synthetic-48v-16kh" ~algo:"swap-latency-avg" (timed_stats avg);
-  record ~table:"swap" ~bench:"synthetic-48v-16kh" ~algo:"swap-latency-max" (timed_stats worst);
-  Printf.printf "swap latency (verify+load+freeze+swap): avg %.1fms  max %.1fms over 10 swaps\n\n"
-    (avg *. 1e3) (worst *. 1e3);
-  (* Throughput: the same 8k-query warm batch, steady vs. continuous
-     snapshot churn (overlay rebuild + cache refill on every worker per
-     swap). *)
-  let queries =
-    let qrng = Random.State.make [| 0x5A5A |] in
-    Array.init 16000 (fun i ->
-        let rv () = Random.State.int qrng nv in
-        match i mod 4 with
-        | 0 -> Printf.sprintf "points-to v%d" (rv ())
-        | 1 -> Printf.sprintf "alias v%d v%d" (rv ()) (rv ())
-        | 2 -> Printf.sprintf "leak h%d" (Random.State.int qrng nv)
-        | _ -> "count vP")
-  in
-  let swaps_done = ref 0 in
-  let run_batch ~churn =
-    let idx = Atomic.make 0 in
-    let done_ = Atomic.make false in
-    let client () =
-      let rec go () =
-        let i = Atomic.fetch_and_add idx 1 in
-        if i < Array.length queries then begin
-          ignore (Pta.Serve.Pool.run pool queries.(i));
-          go ()
-        end
-      in
-      go ()
-    in
-    (* One churner domain owns the save -> poll -> poke sequence (saves
-       must not race each other); clients only ever query. *)
-    let churner () =
-      swaps_done := 0;
-      while not (Atomic.get done_) do
-        ignore (one_swap ());
-        incr swaps_done;
-        Unix.sleepf 0.005
-      done
-    in
-    let t0 = Unix.gettimeofday () in
-    let ch = if churn then Some (Stdlib.Domain.spawn churner) else None in
-    let domains = List.init 4 (fun _ -> Stdlib.Domain.spawn client) in
-    List.iter Stdlib.Domain.join domains;
-    Atomic.set done_ true;
-    Option.iter Stdlib.Domain.join ch;
-    Unix.gettimeofday () -. t0
-  in
-  ignore (run_batch ~churn:false) (* warm-up *);
-  let steady = run_batch ~churn:false in
-  let churned = run_batch ~churn:true in
-  record ~table:"swap" ~bench:"synthetic-48v-16kh" ~algo:"steady-batch" (timed_stats steady);
-  record ~table:"swap" ~bench:"synthetic-48v-16kh" ~algo:"churn-batch" (timed_stats churned);
-  Printf.printf "%-16s %10s %12s\n" "mode" "seconds" "queries/sec";
-  Printf.printf "%-16s %9.3fs %12.0f\n" "steady" steady (float_of_int (Array.length queries) /. steady);
-  Printf.printf "%-16s %9.3fs %12.0f\n" (Printf.sprintf "churn (%d swaps)" !swaps_done) churned
-    (float_of_int (Array.length queries) /. churned);
-  Pta.Serve.Pool.shutdown pool;
-  print_endline "\nShape to check: swap latency is load-bound (milliseconds for this store,";
-  print_endline "seconds only for paper-scale ones) and the churn batch pays the swap +";
-  print_endline "cache-refill tax without ever blocking a request on a load."
-
 (* --- Node-arena memory behavior: paging cost --- *)
 
 (* How does gantt's context-sensitive solve time degrade as the memory
@@ -978,23 +677,30 @@ let bechamel () =
 
 let () =
   let t0 = Unix.gettimeofday () in
-  Printf.printf "whalelam benchmark harness - scale %.3f\n" !scale;
+  let tables =
+    [
+      ("example1", example1);
+      ("fig3", fig3);
+      ("fig4", fig4);
+      ("fig5", fig5);
+      ("fig6", fig6);
+      ("scaling", scaling);
+      ("ablations", ablations);
+      ("update", update_bench);
+      ("certify", certify_bench);
+      ("mem", mem_bench);
+      ("bechamel", bechamel);
+    ]
+  in
   let wanted = String.split_on_char ',' !table in
-  let run name f = if !table = "all" || List.mem name wanted then f () in
-  run "example1" example1;
-  run "fig3" fig3;
-  run "fig4" fig4;
-  run "fig5" fig5;
-  run "fig6" fig6;
-  run "scaling" scaling;
-  run "ablations" ablations;
-  run "persist" persist;
-  run "update" update_bench;
-  run "certify" certify_bench;
-  run "serve" serve_bench;
-  run "swap" swap_bench;
-  run "mem" mem_bench;
-  run "bechamel" bechamel;
+  (* An unknown name would otherwise run nothing and exit 0. *)
+  (match List.find_opt (fun name -> name <> "all" && not (List.mem_assoc name tables)) wanted with
+  | Some name ->
+    Printf.eprintf "unknown table %s (tables: %s)\n" name (String.concat "," (List.map fst tables));
+    exit 1
+  | None -> ());
+  Printf.printf "whalelam benchmark harness - scale %.3f\n" !scale;
+  List.iter (fun (name, f) -> if !table = "all" || List.mem name wanted then f ()) tables;
   (match !json_path with
   | Some path -> write_json path
   | None -> ());

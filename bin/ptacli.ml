@@ -230,23 +230,16 @@ let print_extended_stats (s : Datalog.Engine.stats) =
 let stats_flag =
   Arg.(value & flag & info [ "stats" ] ~doc:"Also print GC count and per-operation BDD cache hit rates.")
 
-let dump_relation fg result name =
-  let rel = Analyses.relation result name in
-  Printf.printf "%s (%.0f tuples):\n" name (Relation.count rel);
-  let attrs = Relation.attrs rel in
-  List.iter
-    (fun t ->
-      let parts =
-        List.mapi
-          (fun i (a : Relation.attr) ->
-            let dom = Domain.name a.Relation.block.Space.dom in
-            match Factgen.element_names fg dom with
-            | Some names when t.(i) < Array.length names -> names.(t.(i))
-            | Some _ | None -> string_of_int t.(i))
-          attrs
-      in
-      Printf.printf "  %s\n" (String.concat "  " parts))
-    (Analyses.tuples result name)
+(* Print a relation's tuples through its domains' element names, in BDD
+   enumeration order.  [analyze --dump] and every [query] answer use it,
+   whether the relation was just solved or loaded from a store: both
+   carry the same names and the same variable layout, so the same
+   relation prints the same bytes. *)
+let dump_relation rel =
+  Printf.printf "%s (%.0f tuples):\n" (Relation.name rel) (Relation.count rel);
+  let doms = List.map (fun (a : Relation.attr) -> a.Relation.block.Space.dom) (Relation.attrs rel) in
+  Relation.iter_tuples rel (fun t ->
+      Printf.printf "  %s\n" (String.concat "  " (List.mapi (fun i d -> Domain.element_name d t.(i)) doms)))
 
 let print_steens_stats r =
   let st = Pta.Steensgaard.stats r in
@@ -310,7 +303,7 @@ let analyze_cmd =
       List.iter
         (fun name ->
           print_newline ();
-          dump_relation fg result name)
+          dump_relation (Analyses.relation result name))
         dump;
       match save_store_dir with
       | Some dir ->
@@ -420,10 +413,11 @@ let analyze_cmd =
 
 (* --- query --- *)
 
-(* The per-variable queries (--points-to/--alias), shared between the
-   cold path (freshly solved relations) and the warm path (relations
-   loaded from a store), so both paths print byte-identical answers. *)
-let answer_pt_queries pt pt_query alias_query =
+(* The per-variable queries (--points-to/--alias) over [vPC], its
+   context projected away. *)
+let answer_pt_queries vpc pt_query alias_query =
+  let pt = Relation.project vpc [ "variable"; "heap" ] in
+  Fun.protect ~finally:(fun () -> Relation.dispose pt) @@ fun () ->
   let man = Space.man (Relation.space pt) and fpt = Relation.freeze pt in
   let dom_of name = (Relation.find_attr pt name).Relation.block.Space.dom in
   let vdom = dom_of "variable" and hdom = dom_of "heap" in
@@ -448,170 +442,84 @@ let answer_pt_queries pt pt_query alias_query =
     List.iter (fun h -> Printf.printf "  %s\n" (Domain.element_name hdom h)) shared
   | None -> ()
 
-(* Dump a store-loaded relation in the same format as [dump_relation]
-   (which reads names through Factgen): the store's .map files carry
-   the same element names, through Domain.element_name. *)
-let dump_store_relation st name =
-  match Store.find st name with
-  | None ->
-    prerr_endline (Printf.sprintf "ptacli: relation %s missing from store" name);
-    exit 1
-  | Some rel ->
-    Printf.printf "%s (%.0f tuples):\n" name (Relation.count rel);
-    let doms =
-      List.map (fun (a : Relation.attr) -> a.Relation.block.Space.dom) (Relation.attrs rel)
-    in
-    List.iter
-      (fun t ->
-        let parts = List.mapi (fun i d -> Domain.element_name d t.(i)) doms in
-        Printf.printf "  %s\n" (String.concat "  " parts))
-      (List.sort compare (Relation.tuples rel))
-
 let query_cmd =
   let run path leak vuln refine modref pt_query alias_query store_dir =
     let p = or_die (read_program path) in
     let fg = Factgen.extract p in
-    let any =
-      leak <> None || vuln <> None || refine || modref || pt_query <> None || alias_query <> None
-    in
-    if not any then
+    if leak = None && vuln = None && (not refine) && (not modref) && pt_query = None && alias_query = None then
       prerr_endline "nothing to do: pass --leak, --vuln, --refine, --modref, --points-to or --alias"
     else begin
-      let cold_solve query =
+      (* One solve answers every flag.  Without a store it covers just
+         the requested families.  A store's suffix always adds mod-ref
+         and refinement, so a later run with the same program and
+         --leak/--vuln arguments is a pure read whatever else it asks
+         (the store key hashes this exact text). *)
+      let stored = store_dir <> None in
+      let suffix =
+        List.fold_left Pta.Queries.combine Pta.Programs.no_query
+          (List.concat
+             [
+               (if modref || stored then [ Pta.Queries.mod_ref ] else []);
+               (if refine || stored then [ Pta.Queries.refinement_projected_cs ] else []);
+               (match leak with Some label -> [ Pta.Queries.who_points_to ~heap_label:label ] | None -> []);
+               (match vuln with Some meth -> [ Pta.Queries.jce_vuln ~init_method:meth ] | None -> []);
+             ])
+      in
+      let solve () =
         let ci = Analyses.run_basic ~algo:Analyses.Algo3 fg in
         let ctx = Analyses.make_context fg ~ie:(Analyses.ie_tuples ci) in
-        Analyses.run_cs fg ctx ~query
+        Analyses.run_cs fg ctx ~query:suffix
       in
-      let print_refine_line population multi_pct refinable_pct =
-        Printf.printf "population %.0f, multi-typed %.2f%%, refinable %.2f%%\n" population multi_pct
-          refinable_pct
-      in
-      let with_pt_of_relation vpc_or_vp k =
-        (* Project the context away once; vP passes through unchanged. *)
-        let has_ctx = List.exists (fun (a : Relation.attr) -> a.Relation.attr_name = "context") (Relation.attrs vpc_or_vp) in
-        if has_ctx then begin
-          let pt = Relation.project vpc_or_vp [ "variable"; "heap" ] in
-          Fun.protect ~finally:(fun () -> Relation.dispose pt) (fun () -> k pt)
-        end
-        else k vpc_or_vp
+      (* Every answer, in one order, through one relation lookup: the
+         solved engine's or the loaded store's. *)
+      let answer lookup =
+        let dump names = List.iter (fun name -> dump_relation (lookup name)) names in
+        if leak <> None then dump [ "whoPointsTo"; "whoDunnit" ];
+        if vuln <> None then dump [ "fromString"; "vuln" ];
+        if refine then begin
+          let r = Analyses.refinement_ratios lookup ~per_clone:false in
+          Printf.printf "population %.0f, multi-typed %.2f%%, refinable %.2f%%\n" r.Analyses.population
+            r.Analyses.multi_pct r.Analyses.refinable_pct
+        end;
+        if modref then dump [ "modset"; "refset" ];
+        if pt_query <> None || alias_query <> None then answer_pt_queries (lookup "vPC") pt_query alias_query
       in
       match store_dir with
-      | None ->
-        (* No store: solve per query family, exactly as before. *)
-        (match leak with
-        | Some label ->
-          let cs = cold_solve (Pta.Queries.who_points_to ~heap_label:label) in
-          dump_relation fg cs "whoPointsTo";
-          dump_relation fg cs "whoDunnit"
-        | None -> ());
-        (match vuln with
-        | Some meth ->
-          let cs = cold_solve (Pta.Queries.jce_vuln ~init_method:meth) in
-          dump_relation fg cs "fromString";
-          dump_relation fg cs "vuln"
-        | None -> ());
-        if refine then begin
-          let cs = cold_solve Pta.Queries.refinement_projected_cs in
-          let r = Analyses.refinement_ratios cs ~per_clone:false in
-          print_refine_line r.Analyses.population r.Analyses.multi_pct r.Analyses.refinable_pct
-        end;
-        if modref then begin
-          let cs = cold_solve Pta.Queries.mod_ref in
-          dump_relation fg cs "modset";
-          dump_relation fg cs "refset"
-        end;
-        if pt_query <> None || alias_query <> None then begin
-          let cs = cold_solve Pta.Programs.no_query in
-          with_pt_of_relation (Analyses.relation cs "vPC") (fun pt ->
-              answer_pt_queries pt pt_query alias_query)
-        end
-      | Some dir ->
-        (* One combined solve covers every question the store will be
-           asked, so any later invocation with the same program and
-           flags is a pure read. *)
-        let suffix =
-          let s = Pta.Queries.combine Pta.Queries.mod_ref Pta.Queries.refinement_projected_cs in
-          let s =
-            match leak with
-            | Some label -> Pta.Queries.combine s (Pta.Queries.who_points_to ~heap_label:label)
-            | None -> s
-          in
-          match vuln with
-          | Some meth -> Pta.Queries.combine s (Pta.Queries.jce_vuln ~init_method:meth)
-          | None -> s
-        in
+      | None -> answer (Analyses.relation (solve ()))
+      | Some dir -> (
         let key = store_key ~program_bytes:(read_file_bytes path) ~algo:"algo5" ~query:suffix in
-        (* The warm-hit test compares against the {e chain tip}
-           identity, not the base manifest: after a `ptacli update`
-           appended delta layers, the base key still matches the old
-           program, but the store's contents are the folded tip — a
-           stale base must read as a miss, and a current tip as a hit
-           with its snapshot serial named. *)
-        if (match Store.read_tip ~dir with Some tip -> tip.Store.key = key | None -> false) then begin
-          let st = Store.load ~dir in
+        (* [read_tip] is the cheap probe.  It reads the chain tip's
+           identity, so a store that `ptacli update` moved past this
+           program is a miss.  The hit itself is decided on the store
+           that was loaded: a save committed between probe and load is
+           a miss too, not an answer labelled with the wrong store. *)
+        let hit =
+          match Store.read_tip ~dir with
+          | Some tip when tip.Store.key = key ->
+            let st = Store.load ~dir in
+            if Store.key st = key then Some st else None
+          | Some _ | None -> None
+        in
+        match hit with
+        | Some st ->
           Printf.printf "query path: store hit (%s/store, snapshot %d)\n" dir (Store.snapshot st);
-          (match leak with
-          | Some _ ->
-            dump_store_relation st "whoPointsTo";
-            dump_store_relation st "whoDunnit"
-          | None -> ());
-          (match vuln with
-          | Some _ ->
-            dump_store_relation st "fromString";
-            dump_store_relation st "vuln"
-          | None -> ());
-          if refine then begin
-            let count name =
-              match Store.find st name with Some r -> Relation.count r | None -> 0.0
-            in
-            let population = count "activeV" in
-            let pct x = if population = 0.0 then 0.0 else 100.0 *. x /. population in
-            print_refine_line population (pct (count "multiT")) (pct (count "refinable"))
-          end;
-          if modref then begin
-            dump_store_relation st "modset";
-            dump_store_relation st "refset"
-          end;
-          if pt_query <> None || alias_query <> None then begin
-            match Store.find st "vPC" with
-            | Some vpc -> with_pt_of_relation vpc (fun pt -> answer_pt_queries pt pt_query alias_query)
-            | None ->
-              prerr_endline "ptacli: relation vPC missing from store";
-              exit 1
-          end
-        end
-        else begin
+          answer (fun name ->
+              match Store.find st name with
+              | Some rel -> rel
+              | None ->
+                prerr_endline (Printf.sprintf "ptacli: relation %s missing from store" name);
+                exit 1)
+        | None ->
           Printf.printf "query path: cold solve (%s)\n"
             (if Store.exists ~dir then "store key mismatch: program or queries changed" else "no store yet");
-          let cs = cold_solve suffix in
-          (match leak with
-          | Some _ ->
-            dump_relation fg cs "whoPointsTo";
-            dump_relation fg cs "whoDunnit"
-          | None -> ());
-          (match vuln with
-          | Some _ ->
-            dump_relation fg cs "fromString";
-            dump_relation fg cs "vuln"
-          | None -> ());
-          if refine then begin
-            let r = Analyses.refinement_ratios cs ~per_clone:false in
-            print_refine_line r.Analyses.population r.Analyses.multi_pct r.Analyses.refinable_pct
-          end;
-          if modref then begin
-            dump_relation fg cs "modset";
-            dump_relation fg cs "refset"
-          end;
-          if pt_query <> None || alias_query <> None then
-            with_pt_of_relation (Analyses.relation cs "vPC") (fun pt ->
-                answer_pt_queries pt pt_query alias_query);
+          let cs = solve () in
+          answer (Analyses.relation cs);
           let config =
             [ ("program", Filename.basename path); ("algo", "algo5") ]
             @ (match leak with Some l -> [ ("leak", l) ] | None -> [])
             @ match vuln with Some m -> [ ("vuln", m) ] | None -> []
           in
-          save_store ~dir ~key ~config cs
-        end
+          save_store ~dir ~key ~config cs)
     end
   in
   let leak = Arg.(value & opt (some string) None & info [ "leak" ] ~docv:"LABEL" ~doc:"§5.1 leak query for a heap label.") in

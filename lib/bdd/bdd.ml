@@ -124,7 +124,6 @@ exception Limit_exceeded of Budget.reason
 let budget_check_interval = 4096
 
 let set_budget m b = m.budget <- b
-let budget m = m.budget
 let allocations m = m.allocs
 
 let bdd_false = 0
@@ -209,11 +208,6 @@ let cache_stats m =
 
 let cache_stats_by_class m = Array.to_list (Array.mapi (fun c name -> (name, m.cache_h.(c), m.cache_m.(c))) class_names)
 
-let cache_hit_rate m =
-  let h, mi = cache_stats m in
-  if h + mi = 0 then 0.0 else float_of_int h /. float_of_int (h + mi)
-
-let nvars m = m.nvars
 let extend_vars m n = if n > m.nvars then m.nvars <- n
 
 let hash3 a b c = (a * 12582917) lxor (b * 4256249) lxor (c * 741457)

@@ -77,8 +77,6 @@ val sweep_stale_spills : ?max_age_s:float -> dir:string -> unit -> int
     by [Bddrel.Store] for a store's own scratch area on load.  Returns
     the number of files removed. *)
 
-val nvars : man -> int
-
 val extend_vars : man -> int -> unit
 (** [extend_vars man n] ensures variables [0 .. n-1] exist.  New
     variables are appended at the bottom of the order. *)
@@ -270,8 +268,6 @@ val set_budget : man -> Budget.t option -> unit
     limit can be overshot by at most the interval.  With no budget
     installed the only cost is one counter increment per fresh node. *)
 
-val budget : man -> Budget.t option
-
 val allocations : man -> int
 (** Total fresh-node allocations since creation (never decreases;
     compare with {!live_nodes}, which GC shrinks).  This is the
@@ -294,9 +290,6 @@ val cache_stats_by_class : man -> (string * int * int) list
 (** Per-operation-class [(name, hits, misses)] counters, in a fixed
     order: and, or, diff, apply-other (xor/imp/biimp), not, ite, exist,
     relprod, replace. *)
-
-val cache_hit_rate : man -> float
-(** Overall hit fraction in [0, 1]; 0 if no lookups happened. *)
 
 (** {2 Arena observability}
 

@@ -52,4 +52,3 @@ let element_index d s =
     | Some _ | None -> None)
 
 let equal a b = a.uid = b.uid
-let pp fmt d = Format.fprintf fmt "%s(%d)" d.name d.size

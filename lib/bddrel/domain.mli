@@ -30,6 +30,3 @@ val element_index : t -> string -> int option
 val equal : t -> t -> bool
 (** Identity: two domains are the same only if created by the same
     {!make} call. *)
-
-val pp : Format.formatter -> t -> unit
-

@@ -16,7 +16,6 @@ let create ?node_hint ?cache_bits ?page_bits ?mem_cap_bytes ?spill_path () =
 let man s = s.man
 let num_vars s = s.next_var
 let cache_stats_by_class s = Bdd.cache_stats_by_class s.man
-let cache_hit_rate s = Bdd.cache_hit_rate s.man
 
 let domain_slot s (d : Domain.t) =
   match Hashtbl.find_opt s.by_domain (Domain.name d) with

@@ -77,8 +77,6 @@ val cache_stats_by_class : t -> (string * int * int) list
 (** Per-operation-class (name, hits, misses) of the underlying
     manager's op cache — see {!Bdd.cache_stats_by_class}. *)
 
-val cache_hit_rate : t -> float
-
 (** {2 Block-level conveniences} *)
 
 val cube : t -> block -> Bdd.t

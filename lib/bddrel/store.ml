@@ -652,7 +652,7 @@ let lines_of_string s =
   | "" :: rest -> List.rev rest (* drop the final newline's empty split *)
   | _ -> String.split_on_char '\n' s
 
-let load_with ?page_bits ?mem_cap_bytes ~dir () =
+let load_with ?mem_cap_bytes ~dir () =
   let c = open_chain ~broken:"broken delta chain" dir in
   let base = c.c_base and top = tip c in
   (* Every file any manifest of the chain checksums — superseded maps
@@ -686,7 +686,7 @@ let load_with ?page_bits ?mem_cap_bytes ~dir () =
      disposed, without ever touching a live concurrent loader's. *)
   ignore (Bdd.sweep_stale_spills ~dir:(subdir dir) ());
   let spill = Filename.concat (subdir dir) (Printf.sprintf "arena.%d.spill" (Unix.getpid ())) in
-  let space = Space.create ?page_bits ?mem_cap_bytes ~spill_path:spill () in
+  let space = Space.create ?mem_cap_bytes ~spill_path:spill () in
   let domains =
     List.map
       (fun (name, size, mapped) ->
@@ -1069,7 +1069,6 @@ let certified t = t.st_certified
 let config t = t.st_config
 let config_value t k = List.assoc_opt k t.st_config
 let space t = t.st_space
-let domains t = List.map snd t.st_domains
 let domain t name = List.assoc_opt name t.st_domains
 let relations t = List.map snd t.st_rels
 let find t name = List.assoc_opt name t.st_rels

@@ -133,14 +133,14 @@ val load : dir:string -> t
     {!verify}.  Raises [Solver_error.Error (Bad_input _)] on a missing,
     malformed or corrupt store. *)
 
-val load_with : ?page_bits:int -> ?mem_cap_bytes:int -> dir:string -> unit -> t
-(** {!load} with node-arena knobs: [page_bits]/[mem_cap_bytes]
-    configure the rebuilt space's arena (see {!Space.create}); a
-    capped load spills cold pages to a pid-named scratch file under
-    [dir]'s store directory (not manifested — invisible to {!verify},
-    debris at worst).  Every load first sweeps scratch files abandoned
-    by dead processes ({!Bdd.sweep_stale_spills}), so a SIGKILLed
-    capped load cannot leak disk space forever. *)
+val load_with : ?mem_cap_bytes:int -> dir:string -> unit -> t
+(** {!load} with a node-arena cap: [mem_cap_bytes] caps the rebuilt
+    space's resident pages (see {!Space.create}); a capped load spills
+    cold pages to a pid-named scratch file under [dir]'s store
+    directory (not manifested — invisible to {!verify}, debris at
+    worst).  Every load first sweeps scratch files abandoned by dead
+    processes ({!Bdd.sweep_stale_spills}), so a SIGKILLed capped load
+    cannot leak disk space forever. *)
 
 (** {2 Semantic certification marks}
 
@@ -239,7 +239,6 @@ val layers : t -> int
 val config : t -> (string * string) list
 val config_value : t -> string -> string option
 val space : t -> Space.t
-val domains : t -> Domain.t list
 val domain : t -> string -> Domain.t option
 val relations : t -> Relation.t list
 (** In manifest (= save) order. *)

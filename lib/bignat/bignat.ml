@@ -181,5 +181,3 @@ let to_scientific n =
   let digits = String.length s in
   if digits <= 4 then s
   else Printf.sprintf "%ce%d" s.[0] (digits - 1)
-
-let pp fmt n = Format.pp_print_string fmt (to_string n)

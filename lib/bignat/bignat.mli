@@ -53,5 +53,3 @@ val of_string : string -> t
 val to_scientific : t -> string
 (** Short form like ["5e23"] or ["4e4"], matching how Figure 3 reports
     path counts ("5 x 10^23").  Exact below 10^4. *)
-
-val pp : Format.formatter -> t -> unit

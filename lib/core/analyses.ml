@@ -322,10 +322,11 @@ let solve_with_fallback ?(options = Engine.default_options) ?budget ?query fg =
 
 type refinement_ratios = { population : float; multi_pct : float; refinable_pct : float }
 
-let refinement_ratios r ~per_clone =
+let refinement_ratios lookup ~per_clone =
   let active, multi, refinable =
     if per_clone then ("activeC", "multiC", "refinableC") else ("activeV", "multiT", "refinable")
   in
-  let population = count r active in
+  let count name = Relation.count (lookup name) in
+  let population = count active in
   let pct x = if population = 0.0 then 0.0 else 100.0 *. x /. population in
-  { population; multi_pct = pct (count r multi); refinable_pct = pct (count r refinable) }
+  { population; multi_pct = pct (count multi); refinable_pct = pct (count refinable) }

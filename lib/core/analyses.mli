@@ -160,7 +160,8 @@ val count : result -> string -> float
 
 type refinement_ratios = { population : float; multi_pct : float; refinable_pct : float }
 
-val refinement_ratios : result -> per_clone:bool -> refinement_ratios
-(** Read the Figure 6 percentages off a result whose program included
-    one of the {!Queries} refinement suffixes ([per_clone] selects the
-    [activeC]/[multiC]/[refinableC] outputs). *)
+val refinement_ratios : (string -> Relation.t) -> per_clone:bool -> refinement_ratios
+(** Read the Figure 6 percentages off the relations of a program that
+    included one of the {!Queries} refinement suffixes, looked up by
+    name: a result's ([relation r]) or a loaded store's.  [per_clone]
+    selects the [activeC]/[multiC]/[refinableC] outputs. *)

@@ -1,6 +1,11 @@
 module Ir = Jir.Ir
 
-type numbered_edge = { ne_edge : Callgraph.edge; ne_k : int; ne_offset : int; ne_intra : bool }
+type numbered_edge = {
+  ne_edge : Callgraph.edge;
+  ne_k : int; (* clamped caller context count *)
+  ne_offset : int; (* callee context = caller context + offset *)
+  ne_intra : bool; (* same-SCC edge: clone i calls clone i *)
+}
 
 type t = {
   program : Ir.t;
@@ -76,11 +81,9 @@ let number ?(max_bits = 61) p ~edges ~roots =
     !intra;
   { program = p; reach; comp; counts_exact; counts; numbered = List.rev !numbered; cap; hit_cap = !hit_cap }
 
-let reachable t m = t.reach.(m)
 let scc_of_method t m = if t.reach.(m) then Some t.comp.(m) else None
 let method_contexts t m = if t.reach.(m) then t.counts.(t.comp.(m)) else 0
 let method_contexts_exact t m = if t.reach.(m) then t.counts_exact.(t.comp.(m)) else Bignat.zero
-let edges t = t.numbered
 let merged t = t.hit_cap
 
 let total_paths t =

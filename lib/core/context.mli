@@ -16,13 +16,6 @@
     mirroring the paper's handling of pmd's 5 x 10^23 paths with a
     63-bit JavaBDD limit (§6.1). *)
 
-type numbered_edge = {
-  ne_edge : Callgraph.edge;
-  ne_k : int;  (** clamped caller context count *)
-  ne_offset : int;  (** callee context = caller context + offset *)
-  ne_intra : bool;  (** same-SCC edge: clone i calls clone i *)
-}
-
 type t
 
 val number : ?max_bits:int -> Jir.Ir.t -> edges:Callgraph.edge list -> roots:Jir.Ir.method_id list -> t
@@ -36,8 +29,6 @@ val method_contexts : t -> Jir.Ir.method_id -> int
 (** Clamped context count of a reachable method; 0 if unreachable. *)
 
 val method_contexts_exact : t -> Jir.Ir.method_id -> Bignat.t
-val edges : t -> numbered_edge list
-val reachable : t -> Jir.Ir.method_id -> bool
 
 val total_paths : t -> Bignat.t
 (** Total number of clones — Figure 3's "C.S. Paths" column. *)

@@ -491,7 +491,6 @@ module Pool = struct
     p
 
   let workers p = p.p_workers
-  let source p = p.p_source
 
   (* Wake idle workers so they notice a source swap now instead of at
      their next request: without this, a quiet follower would retain

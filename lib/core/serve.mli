@@ -182,8 +182,6 @@ module Pool : sig
 
   val workers : pool -> int
 
-  val source : pool -> Source.source
-
   val run : pool -> string -> served
   (** Enqueue one request line and wait for its result.  Blocks while
       the queue is full.  After {!shutdown} has begun, returns an

@@ -7,8 +7,7 @@ type options = {
   gc_interval : int;
   budget : Budget.t option;
   page_bits : int option; (* arena page size override, log2 slots *)
-  mem_cap_bytes : int option; (* resident node-page byte cap; spill past it *)
-  spill_path : string option; (* arena spill file (default: temp file) *)
+  mem_cap_bytes : int option; (* resident node-page byte cap; spill to a temp file past it *)
 }
 
 let default_options =
@@ -22,7 +21,6 @@ let default_options =
     budget = None;
     page_bits = None;
     mem_cap_bytes = None;
-    spill_path = None;
   }
 
 let toggles_of_options o =
@@ -330,8 +328,7 @@ let create ?(options = default_options) ?element_names ?domain_order (program : 
       | None -> fail "%s" message)
   in
   let sp =
-    Space.create ~node_hint:(1 lsl 16) ~cache_bits:18 ?page_bits:options.page_bits ?mem_cap_bytes:options.mem_cap_bytes
-      ?spill_path:options.spill_path ()
+    Space.create ~node_hint:(1 lsl 16) ~cache_bits:18 ?page_bits:options.page_bits ?mem_cap_bytes:options.mem_cap_bytes ()
   in
   let t =
     {

@@ -45,11 +45,8 @@ type options = {
           {!Bdd.create}; [None] = the arena default *)
   mem_cap_bytes : int option;
       (** cap on resident node-page bytes: past it, cold pages spill to
-          [spill_path] and fault back in on demand; [None] = uncapped
-          (everything resident, no pager overhead) *)
-  spill_path : string option;
-      (** spill file for evicted pages (a driver points this into its
-          store's scratch area); [None] = a fresh temp file *)
+          a fresh temp file and fault back in on demand; [None] =
+          uncapped (everything resident, no pager overhead) *)
 }
 
 val default_options : options

@@ -144,7 +144,7 @@ let test_warm_serve_batch () =
       | _ -> ())
     queries outcomes;
   (* The refinement ratios must match the engine-side computation. *)
-  let r = Analyses.refinement_ratios cs ~per_clone:false in
+  let r = Analyses.refinement_ratios (Analyses.relation cs) ~per_clone:false in
   let refine_outcome = List.nth outcomes 98 in
   Alcotest.(check string) "refine population"
     (Printf.sprintf "population %.0f" r.Analyses.population)
@@ -508,12 +508,76 @@ let test_verify_quarantine () =
   | Some dest2 -> Alcotest.(check bool) "fresh quarantine suffix" true (Filename.check_suffix dest2 ".broken.2")
   | None -> Alcotest.fail "second quarantine refused"
 
+(* --- The query CLI: one answer path ----------------------------------
+   `ptacli query` answers with no store, from a store miss (cold solve,
+   then save) and from a store hit.  All three runs must print the same
+   answer lines byte for byte: same relations, same element names, same
+   tuple order. *)
+
+let run_ptacli args =
+  let log = Filename.temp_file "whalelam-query" ".out" in
+  let logfd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let pid = Unix.create_process "../bin/ptacli.exe" (Array.of_list ("ptacli" :: args)) Unix.stdin logfd logfd in
+  Unix.close logfd;
+  let status = snd (Unix.waitpid [] pid) in
+  let out = In_channel.with_open_bin log In_channel.input_all in
+  Sys.remove log;
+  if status <> Unix.WEXITED 0 then Alcotest.failf "ptacli %s failed:\n%s" (String.concat " " args) out;
+  String.split_on_char '\n' out
+
+let test_query_paths () =
+  let check name program ~vuln =
+    let jir = Filename.temp_file ("whalelam-query-" ^ name) ".jir" in
+    Out_channel.with_open_bin jir (fun oc -> output_string oc (Jir.Jprinter.to_string program));
+    (* Probe names: a heap stored into a field (so --leak finds who
+       holds it), the variable it is allocated into, and a second
+       allocated variable. *)
+    let fg = Jir.Factgen.extract (Jir.Jparser.parse_file jir) in
+    let names dom = Option.get (Jir.Factgen.element_names fg dom) in
+    let vp0 = Jir.Factgen.relation fg "vP0" and stores = Jir.Factgen.relation fg "store" in
+    let stored v = List.exists (function [ _; _; src ] -> src = v | _ -> false) stores in
+    let v, h = List.find_map (function [ v; h ] when stored v -> Some (v, h) | _ -> None) vp0 |> Option.get in
+    let v2 = List.find_map (function [ v2; _ ] when v2 <> v -> Some v2 | _ -> None) vp0 |> Option.get in
+    let var i = (names "V").(i) in
+    let flags =
+      [ "--leak"; (names "H").(h); "--refine"; "--modref"; "--points-to"; var v; "--alias"; var v ^ "," ^ var v2 ]
+      @ if vuln then [ "--vuln"; "PBEKeySpec.init" ] else []
+    in
+    let store = tmp_dir ("query-cli-" ^ name) in
+    Fun.protect ~finally:(fun () ->
+        ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote store)));
+        Sys.remove jir)
+    @@ fun () ->
+    let query extra = run_ptacli (("query" :: jir :: flags) @ extra) in
+    let answers lines =
+      List.filter (fun l -> not (starts_with "query path:" l || starts_with "store:" l)) lines
+    in
+    let no_store = query [] in
+    let miss = query [ "--store"; store ] in
+    let hit = query [ "--store"; store ] in
+    Alcotest.(check bool) (name ^ ": second run is a miss") true
+      (List.exists (starts_with "query path: cold solve") miss);
+    Alcotest.(check bool) (name ^ ": third run is a store hit") true
+      (List.exists (starts_with "query path: store hit") hit);
+    Alcotest.(check bool) (name ^ ": every family answered") true (List.length (answers no_store) > 10);
+    Alcotest.(check (list string)) (name ^ ": store miss = no store") (answers no_store) (answers miss);
+    Alcotest.(check (list string)) (name ^ ": store hit = no store") (answers no_store) (answers hit)
+  in
+  check "freetts"
+    (Synth.Generator.generate (Synth.Profiles.params ~scale:0.01 (Option.get (Synth.Profiles.find "freetts"))))
+    ~vuln:false;
+  check "jce"
+    (Synth.Generator.generate { Synth.Generator.default_params with n_classes = 8; jce_flavor = true })
+    ~vuln:true
+
 let () =
   Alcotest.run "store"
     [
       ("manifest", [ Alcotest.test_case "save/exists/read_tip/config" `Quick test_manifest ]);
       ("exactness", [ Alcotest.test_case "loaded gantt relations BDD-equal to fresh solve" `Quick test_round_trip_exact ]);
       ("serving", [ Alcotest.test_case "100+ warm queries match fresh answers, 10x faster" `Quick test_warm_serve_batch ]);
+      ( "query-cli",
+        [ Alcotest.test_case "no store, store miss and store hit print the same answers" `Quick test_query_paths ] );
       ("robustness", [ Alcotest.test_case "corrupt stores rejected" `Quick test_corruption ]);
       ("overwrite", [ Alcotest.test_case "re-save replaces the store atomically" `Quick test_overwrite ]);
       ( "crash-safety",
