@@ -271,7 +271,7 @@ let fig6 () =
     (fun profile ->
       let { fg; ctx; _ } = prepare profile in
       let cell r = Printf.sprintf "%5.1f / %5.1f" r.Analyses.multi_pct r.Analyses.refinable_pct in
-      let ratios ~per_clone r = Analyses.refinement_ratios (Analyses.relation r) ~per_clone in
+      let ratios ~per_clone r = Analyses.refinement_ratios (Analyses.count r) ~per_clone in
       let v1 = ratios ~per_clone:false (Analyses.run_basic ~algo:Analyses.Algo1 fg ~query:Queries.refinement_ci) in
       let v2 = ratios ~per_clone:false (Analyses.run_basic ~algo:Analyses.Algo2 fg ~query:Queries.refinement_ci) in
       let v3 = ratios ~per_clone:false (Analyses.run_cs fg ctx ~query:Queries.refinement_projected_cs) in

@@ -121,22 +121,6 @@ let read_file_bytes path =
   let ic = try open_in_bin path with Sys_error m -> (prerr_endline m; exit 1) in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> really_input_string ic (in_channel_length ic))
 
-(* The cache key: a content hash of everything that determines the
-   solved relations — raw program bytes, algorithm, the exact query
-   suffix text, and the store format itself.  Any change to any of
-   them makes an existing store a miss (and a re-save). *)
-let store_key ~program_bytes ~algo ~(query : Pta.Programs.query_suffix) =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00"
-          [
-            program_bytes;
-            algo;
-            query.Pta.Programs.q_relations;
-            query.Pta.Programs.q_rules;
-            string_of_int Store.format_version;
-          ]))
-
 (* Stores persist every declared relation, internals included: an
    incremental [ptacli update] restarts the fixpoint from the previous
    run's working relations, which the interface-only set cannot seed. *)
@@ -146,9 +130,11 @@ let save_store ~dir ~key ~config (result : Analyses.result) =
   Store.save ~dir ~key ~config ~space:(Datalog.Engine.space eng) ~relations:rels;
   Printf.printf "store: saved %d relations to %s/store (key %s)\n" (List.length rels) dir (String.sub key 0 12)
 
-(* The committed chain tip's snapshot, for summary lines (0 when the
-   store is gone or broken). *)
-let tip_snapshot dir = match Store.read_tip ~dir with Some tip -> tip.Store.snapshot | None -> 0
+let require_store dir =
+  if not (Store.exists ~dir) then begin
+    prerr_endline (Printf.sprintf "ptacli: no store at %s/store (run 'analyze --save-store %s' first)" dir dir);
+    exit 1
+  end
 
 let store_dir_arg =
   Arg.(
@@ -308,7 +294,7 @@ let analyze_cmd =
       match save_store_dir with
       | Some dir ->
         let key =
-          store_key ~program_bytes:(read_file_bytes path) ~algo:(algo_tag algo) ~query:Pta.Programs.no_query
+          Pta.Incr.store_key ~program_bytes:(read_file_bytes path) ~algo:(algo_tag algo) ~query:Pta.Programs.no_query
         in
         save_store ~dir ~key
           ~config:[ ("program", Filename.basename path); ("algo", algo_tag algo) ]
@@ -477,7 +463,7 @@ let query_cmd =
         if leak <> None then dump [ "whoPointsTo"; "whoDunnit" ];
         if vuln <> None then dump [ "fromString"; "vuln" ];
         if refine then begin
-          let r = Analyses.refinement_ratios lookup ~per_clone:false in
+          let r = Analyses.refinement_ratios (fun name -> Relation.count (lookup name)) ~per_clone:false in
           Printf.printf "population %.0f, multi-typed %.2f%%, refinable %.2f%%\n" r.Analyses.population
             r.Analyses.multi_pct r.Analyses.refinable_pct
         end;
@@ -487,7 +473,7 @@ let query_cmd =
       match store_dir with
       | None -> answer (Analyses.relation (solve ()))
       | Some dir -> (
-        let key = store_key ~program_bytes:(read_file_bytes path) ~algo:"algo5" ~query:suffix in
+        let key = Pta.Incr.store_key ~program_bytes:(read_file_bytes path) ~algo:"algo5" ~query:suffix in
         (* [read_tip] is the cheap probe.  It reads the chain tip's
            identity, so a store that `ptacli update` moved past this
            program is a miss.  The hit itself is decided on the store
@@ -549,12 +535,6 @@ let query_cmd =
 
 (* --- update: incremental re-analysis against a stored solve --- *)
 
-let basic_of_tag = function
-  | "algo1" -> Some Analyses.Algo1
-  | "algo2" -> Some Analyses.Algo2
-  | "algo3" -> Some Analyses.Algo3
-  | _ -> None
-
 let update_cmd =
   let run path dir budget mem stats watch poll_interval compact_every certify no_certify =
     let options = options_of_budget ~mem budget in
@@ -562,111 +542,47 @@ let update_cmd =
        feeding --require-certified followers must never commit an
        unvouched layer), off for a one-shot update unless asked. *)
     let do_certify = (not no_certify) && (certify || watch) in
-    (* One update cycle: compare the program against the chain tip,
-       re-solve by the cheapest sound route (Pta.Incr), and commit the
-       result as a delta layer (incremental/unchanged) or a fresh base
-       (cold).  Re-loads the store each time so a watch loop always
-       diffs against the latest tip. *)
+    let plural n = if n = 1 then "" else "s" in
+    (* One update cycle (Pta.Incr.commit), printed.  The store is
+       re-read each time, so a watch loop always diffs against the
+       latest tip. *)
     let update_once () =
-      if not (Store.exists ~dir) then begin
-        prerr_endline
-          (Printf.sprintf "ptacli: no store at %s/store (run 'analyze --save-store %s' first)" dir dir);
-        exit 1
-      end;
-      let st = Store.load ~dir in
-      let tag = Option.value (Store.config_value st "algo") ~default:"(unrecorded)" in
-      match basic_of_tag tag with
-      | None ->
-        prerr_endline
-          (Printf.sprintf
-             "ptacli: store was saved by %s; update supports algo1/algo2/algo3 (analyze --algo \
-              cha-nofilter|cha|otf)"
-             tag);
-        exit 1
-      | Some algo ->
-        let program_bytes = read_file_bytes path in
-        let key = store_key ~program_bytes ~algo:tag ~query:Pta.Programs.no_query in
-        if Store.key st = key then
-          Printf.printf "update: store already current (key %s, snapshot %d, %d layers)\n%!"
-            (String.sub key 0 12) (Store.snapshot st) (Store.layers st)
-        else begin
-          let p = or_die (read_program path) in
-          let fg = Factgen.extract p in
-          let t0 = Unix.gettimeofday () in
-          let o = solved (Pta.Incr.update ~options ~algo ~store:st fg) in
-          let eng = o.Pta.Incr.engine in
-          let config = [ ("program", Filename.basename path); ("algo", tag) ] in
-          let cert_verdict e =
-            Pta.Certify.certify_engine ~algo:tag ~fresh_inputs:(Pta.Programs.input_relations fg) e
-          in
-          (* Certify the candidate *before* commit: a result that is
-             not a closed model of this program's rules never reaches
-             the chain, so followers demanding certified snapshots
-             cannot be fed a wrong answer by the incremental path. *)
-          let incr_certified =
-            (not do_certify)
-            ||
-            let v = cert_verdict eng in
-            List.iter print_endline (Pta.Certify.verdict_lines v);
-            Pta.Certify.passed v
-          in
-          if not incr_certified then begin
-            Printf.eprintf
-              "update: incremental result failed certification; quarantining delta chain and re-solving cold\n%!";
-            (match Store.quarantine_layers ~dir ~from_layer:1 with
-            | Some dest -> Printf.eprintf "update: quarantined delta layers to %s\n%!" dest
-            | None -> ());
-            let cold = solved (Analyses.solve_basic ~options ~algo fg) in
-            let ceng = cold.Analyses.engine in
-            let cv = cert_verdict ceng in
-            List.iter print_endline (Pta.Certify.verdict_lines cv);
-            if not (Pta.Certify.passed cv) then
-              raise
-                (Solver_error.Error
-                   (Solver_error.Internal "cold re-solve also failed certification; refusing to commit"));
-            Store.save ~dir ~key ~config ~space:(Datalog.Engine.space ceng)
-              ~relations:(Datalog.Engine.declared_relations ceng);
-            let mk, ms = Store.mark_certified ~dir in
-            Printf.printf "update: cold re-solve committed and certified in %.3fs (key %s, snapshot %d)\n%!"
-              (Unix.gettimeofday () -. t0)
-              (String.sub mk 0 12) ms
-          end
-          else begin
-          let layers =
-            match o.Pta.Incr.verdict with
-            | Pta.Incr.Cold _ ->
-              Store.save ~dir ~key ~config ~space:(Datalog.Engine.space eng)
-                ~relations:(Datalog.Engine.declared_relations eng);
-              0
-            | Pta.Incr.Incremental | Pta.Incr.Unchanged ->
-              Store.save_delta ~dir ~key ~config ~space:(Datalog.Engine.space eng) ~deltas:o.Pta.Incr.deltas
-          in
-          if do_certify then ignore (Store.mark_certified ~dir);
-          let snapshot = tip_snapshot dir in
+      require_store dir;
+      let t0 = Unix.gettimeofday () in
+      let program_bytes = read_file_bytes path in
+      let open Pta.Incr in
+      match solved (commit ~options ~certify:do_certify ~compact_every ~dir ~program_path:path ~program_bytes ()) with
+      | Current st ->
+        Printf.printf "update: store already current (key %s, snapshot %d, %d layers)\n%!"
+          (String.sub (Store.key st) 0 12) (Store.snapshot st) (Store.layers st)
+      | Committed c ->
+        let seconds = Unix.gettimeofday () -. t0 in
+        let print_verdict v = List.iter print_endline (Pta.Certify.verdict_lines v) in
+        Option.iter print_verdict c.c_check;
+        (match c.c_rescue with
+        | Some r ->
+          Printf.eprintf
+            "update: incremental result failed certification; quarantining delta chain and re-solving cold\n%!";
+          Option.iter (Printf.eprintf "update: quarantined delta layers to %s\n%!") r.r_quarantined;
+          print_verdict r.r_check;
+          Printf.printf "update: cold re-solve committed and certified in %.3fs (key %s, snapshot %d)\n%!" seconds
+            (String.sub c.c_key 0 12) c.c_snapshot
+        | None -> (
+          let o = c.c_outcome in
           Printf.printf "update: %s in %.3fs (%d relations changed; snapshot %d, %d layer%s)\n%!"
-            (Pta.Incr.verdict_to_string o.Pta.Incr.verdict)
-            (Unix.gettimeofday () -. t0)
-            (List.length o.Pta.Incr.deltas)
-            snapshot layers
-            (if layers = 1 then "" else "s");
-          (if compact_every > 0 && layers >= compact_every then
-             match Store.compact ~dir with
-             | 0 -> ()
-             | n ->
-               Printf.printf "update: compacted %d layer%s into a new base (snapshot %d)\n%!" n
-                 (if n = 1 then "" else "s")
-                 (tip_snapshot dir);
-               (* compact drops the certified line (new base = new
-                  identity); the fold of a just-certified tip is
-                  content-identical, so re-mark it. *)
-               if do_certify then ignore (Store.mark_certified ~dir));
-          (match (stats, o.Pta.Incr.stats) with
+            (verdict_to_string o.verdict) seconds (List.length o.deltas) c.c_snapshot c.c_layers (plural c.c_layers);
+          Option.iter
+            (fun (n, snapshot) ->
+              Printf.printf "update: compacted %d layer%s into a new base (snapshot %d)\n%!" n (plural n) snapshot)
+            c.c_compacted;
+          match (stats, o.stats) with
           | true, Some s ->
             print_stats s;
             print_extended_stats s
-          | _ -> ())
-          end
-        end
+          | _ -> ()));
+        match c.c_mark with
+        | Mark_refused msg -> Printf.eprintf "update: not marked certified: %s\n%!" msg
+        | Marked | Not_certifying -> ()
     in
     if not watch then update_once ()
     else begin
@@ -768,19 +684,15 @@ let update_cmd =
 (* Shared by the top-level `certify` verb and `store certify`: load
    the folded chain tip, re-extract the program's input relations, run
    the independent fixpoint check (Pta.Certify — shares the rule plans
-   with the solver but not its fixpoint driver), and on a pass record
-   the `certified <key> <snapshot>` mark that `serve --follow
+   with the solver but not its fixpoint driver), and on a pass write
+   the mark file (store/certified) that `serve --follow
    --require-certified` demands, for the identity that was loaded and
    checked: a save committed in between leaves the store unmarked and
    exits 1.  Exit 1 with the violating rule and bounded witness tuples
    on a failure. *)
 let run_certification path dir budget mem max_witness =
   let options = options_of_budget ~mem budget in
-  if not (Store.exists ~dir) then begin
-    prerr_endline
-      (Printf.sprintf "ptacli: no store at %s/store (run 'analyze --save-store %s' first)" dir dir);
-    exit 1
-  end;
+  require_store dir;
   let st = Store.load ~dir in
   let p = or_die (read_program path) in
   let fg = Factgen.extract p in
@@ -816,8 +728,8 @@ let certify_cmd =
           application of every resolved rule must add nothing (BDD containment per rule).  The checker \
           reuses the solver's optimized rule plans but not its fixpoint driver, so a solver bug, a \
           CRC-clean on-disk corruption, or a wrong incremental shortcut is caught here even when \
-          $(b,store verify) reports every checksum healthy.  A pass records a $(b,certified) mark in the \
-          store manifest — what $(b,serve --follow --require-certified) demands before hot-swapping — \
+          $(b,store verify) reports every checksum healthy.  A pass records a $(b,certified) mark file in the \
+          store — what $(b,serve --follow --require-certified) demands before hot-swapping — \
           naming the exact chain-tip identity that was checked, so any later save invalidates it (and a \
           save committed during the check leaves the store unmarked, exit 1).  On failure, prints the \
           first violating rule with bounded witness tuples and exits 1.")
@@ -1394,12 +1306,10 @@ let store_group_cmd =
   in
   let compact =
     let run dir =
-      match Store.compact ~dir with
-      | 0 -> print_endline "store: no delta layers to compact"
-      | n ->
-        Printf.printf "store: compacted %d layer%s into a new base (snapshot %d)\n" n
-          (if n = 1 then "" else "s")
-          (tip_snapshot dir)
+      match Store.compact_snapshot ~dir with
+      | 0, _ -> print_endline "store: no delta layers to compact"
+      | n, snapshot ->
+        Printf.printf "store: compacted %d layer%s into a new base (snapshot %d)\n" n (if n = 1 then "" else "s") snapshot
     in
     Cmd.v
       (Cmd.info "compact"
@@ -1478,42 +1388,47 @@ let order_search_cmd =
 
 (* --- datalog --- *)
 
+(* A standalone Datalog program: parse [path], build its engine and,
+   with [facts], load its input relations from that directory's
+   .tuples files.  A parse or check error is one line on stderr and
+   exit 1. *)
+let load_dl ~options ?facts path =
+  match Datalog.Parser.parse ~file:path (read_file_bytes path) with
+  | exception Datalog.Parser.Parse_error e ->
+    prerr_endline (Printf.sprintf "%s:%d: %s" path e.Datalog.Parser.line e.Datalog.Parser.message);
+    exit 1
+  | program -> (
+    match Datalog.Engine.create ~options program with
+    | exception Datalog.Resolve.Check_error m ->
+      prerr_endline m;
+      exit 1
+    | eng ->
+      Option.iter
+        (fun dir ->
+          List.iter
+            (fun (name, tuples) -> Datalog.Engine.set_tuples eng name (List.map Array.of_list tuples))
+            (Datalog.Tuples_io.load_inputs ~dir program))
+        facts;
+      (program, eng))
+
 let datalog_cmd =
   let run path dir stats budget =
-    let src =
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Datalog.Parser.parse ~file:path src with
-    | exception Datalog.Parser.Parse_error e ->
-      prerr_endline (Printf.sprintf "%s:%d: %s" path e.Datalog.Parser.line e.Datalog.Parser.message);
-      exit 1
-    | program -> (
-      match Datalog.Engine.create ~options:(options_of_budget budget) program with
-      | exception Datalog.Resolve.Check_error m ->
-        prerr_endline m;
-        exit 1
-      | eng ->
-        List.iter
-          (fun (name, tuples) -> Datalog.Engine.set_tuples eng name (List.map Array.of_list tuples))
-          (Datalog.Tuples_io.load_inputs ~dir program);
-        let s = solved (Datalog.Engine.solve eng) in
-        Datalog.Tuples_io.save_outputs ~dir program (fun name ->
-            Relation.tuples (Datalog.Engine.relation eng name));
-        Printf.printf "solved in %.3fs (%d rule applications, %d rounds, %d peak nodes)\n"
-          s.Datalog.Engine.solve_seconds s.Datalog.Engine.rule_applications s.Datalog.Engine.iterations
-          s.Datalog.Engine.peak_live_nodes;
-        if stats then print_extended_stats s;
-        List.iter
-          (fun (r : Datalog.Ast.rel_decl) ->
-            match r.Datalog.Ast.rel_kind with
-            | Datalog.Ast.Output ->
-              Printf.printf "  %s: %.0f tuples\n" r.Datalog.Ast.rel_name
-                (Relation.count (Datalog.Engine.relation eng r.Datalog.Ast.rel_name))
-            | Datalog.Ast.Input | Datalog.Ast.Internal -> ())
-          program.Datalog.Ast.relations)
+    let program, eng = load_dl ~options:(options_of_budget budget) ~facts:dir path in
+    let s = solved (Datalog.Engine.solve eng) in
+    Datalog.Tuples_io.save_outputs ~dir program (fun name ->
+        Relation.tuples (Datalog.Engine.relation eng name));
+    Printf.printf "solved in %.3fs (%d rule applications, %d rounds, %d peak nodes)\n"
+      s.Datalog.Engine.solve_seconds s.Datalog.Engine.rule_applications s.Datalog.Engine.iterations
+      s.Datalog.Engine.peak_live_nodes;
+    if stats then print_extended_stats s;
+    List.iter
+      (fun (r : Datalog.Ast.rel_decl) ->
+        match r.Datalog.Ast.rel_kind with
+        | Datalog.Ast.Output ->
+          Printf.printf "  %s: %.0f tuples\n" r.Datalog.Ast.rel_name
+            (Relation.count (Datalog.Engine.relation eng r.Datalog.Ast.rel_name))
+        | Datalog.Ast.Input | Datalog.Ast.Internal -> ())
+      program.Datalog.Ast.relations
   in
   let dl = Arg.(required & pos 0 (some string) None & info [] ~docv:"PROGRAM.dl" ~doc:"Datalog program.") in
   let dir =
@@ -1532,20 +1447,8 @@ let explain_cmd =
       if solve then ignore (Datalog.Engine.run eng);
       Format.printf "%a@?" Datalog.Engine.explain eng
     in
-    if Filename.check_suffix path ".dl" then begin
-      let src = read_file_bytes path in
-      match Datalog.Parser.parse ~file:path src with
-      | exception Datalog.Parser.Parse_error e ->
-        prerr_endline (Printf.sprintf "%s:%d: %s" path e.Datalog.Parser.line e.Datalog.Parser.message);
-        exit 1
-      | program ->
-        let eng = Datalog.Engine.create ~options program in
-        if solve then
-          List.iter
-            (fun (name, tuples) -> Datalog.Engine.set_tuples eng name (List.map Array.of_list tuples))
-            (Datalog.Tuples_io.load_inputs ~dir:facts_dir program);
-        finish eng
-    end
+    if Filename.check_suffix path ".dl" then
+      finish (snd (load_dl ~options ?facts:(if solve then Some facts_dir else None) path))
     else begin
       let p = or_die (read_program path) in
       let fg = Factgen.extract p in

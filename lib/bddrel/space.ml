@@ -71,6 +71,39 @@ let domains s =
   let ds = Hashtbl.fold (fun _ r acc -> match !r with b :: _ -> b.dom :: acc | [] -> acc) s.by_domain [] in
   List.sort (fun a b -> compare (Domain.name a) (Domain.name b)) ds
 
+(* Domain {e sizes} are deliberately not part of the layout: a domain
+   may grow within its bit width without moving any variable. *)
+let layout s =
+  List.concat_map (fun d -> List.map (fun b -> (Domain.name d, b.instance, b.bits)) (instances s d)) (domains s)
+
+let layout_mismatch ~stored ~current =
+  if num_vars stored <> num_vars current then
+    Some (Printf.sprintf "%d variables stored, %d now" (num_vars stored) (num_vars current))
+  else
+    let s = layout stored and c = layout current in
+    if s = c then None
+    else
+      let keys = List.map (fun (dn, i, _) -> (dn, i)) in
+      let only_in a b = List.find_opt (fun k -> not (List.mem k b)) a in
+      match (only_in (keys s) (keys c), only_in (keys c) (keys s)) with
+      | Some (dn, i), _ -> Some (Printf.sprintf "block %s#%d no longer allocated" dn i)
+      | None, Some (dn, i) -> Some (Printf.sprintf "block %s#%d newly allocated" dn i)
+      | None, None -> (
+        (* The same blocks: pair them up, then tell a real width change
+           from blocks that only sit at other variable ids. *)
+        let pairs = List.combine s c in
+        match List.find_opt (fun ((_, _, b), (_, _, b')) -> Array.length b <> Array.length b') pairs with
+        | Some ((dn, i, b), (_, _, b')) ->
+          Some
+            (Printf.sprintf "block widths changed (%s#%d: %d bits stored, %d now)" dn i (Array.length b)
+               (Array.length b'))
+        | None ->
+          (* Name the moved block lowest in the stored layout. *)
+          let lowest (_, _, b) = Array.fold_left min max_int b in
+          let moved = List.filter_map (fun (((_, _, b) as sb), (_, _, b')) -> if b <> b' then Some sb else None) pairs in
+          let dn, i, _ = List.hd (List.sort (fun x y -> compare (lowest x) (lowest y)) moved) in
+          Some (Printf.sprintf "block %s#%d moved" dn i))
+
 let restore_block s d ~instance ~bits =
   let slot = domain_slot s d in
   if List.length !slot <> instance then

@@ -59,6 +59,20 @@ val domains : t -> Domain.t list
 (** Every domain with at least one allocated block, sorted by name —
     the schema a persisted {!Store} records. *)
 
+val layout : t -> (string * int * int array) list
+(** Every block as (domain name, instance, variable ids), by domain name
+    then instance: the physical layout a {!Store} records.  Two spaces
+    with equal layouts give the same meaning to the same BDD. *)
+
+val layout_mismatch : stored:t -> current:t -> string option
+(** [None] when the two spaces give the same meaning to the same BDD:
+    equal variable counts and every (domain, instance) block at the
+    same variable ids (domain sizes may differ within their bit
+    widths).  Otherwise a human-readable description of the first
+    mismatch.  This is the incremental update's layout gate, and what
+    certification checks before interpreting a store's BDDs against a
+    checker engine. *)
+
 val restore_block : t -> Domain.t -> instance:int -> bits:int array -> block
 (** Re-register a block read back from a persisted store, with its
     exact saved variable ids (no fresh allocation: the on-disk BDD dump

@@ -30,7 +30,7 @@ type t = {
   st_domains : (string * Domain.t) list;
   st_rels : (string * Relation.t) list; (* manifest order *)
   st_layers : int; (* delta layers folded into this load *)
-  st_certified : bool; (* the base's certification mark names this tip *)
+  st_certified : bool; (* the certification mark names this tip *)
 }
 
 (* v2: checksummed manifest + WLBDD02 checksummed BDD framing.
@@ -148,6 +148,24 @@ let check_name what s =
    written before the serial file existed. *)
 let serial_path dir = Filename.concat (subdir dir) "serial"
 
+(* The certification mark ([<key> <snapshot> <crc>], see store.mli):
+   its own file, so [save] stays the only writer of the base manifest
+   and [save_delta] of layer manifests.  Anything unreadable is no mark. *)
+let mark_path dir = Filename.concat (subdir dir) "certified"
+
+let render_mark key snapshot =
+  let ident = Printf.sprintf "%s %d" key snapshot in
+  Printf.sprintf "%s %s\n" ident (Crc32.to_hex (Crc32.string ident))
+
+let read_mark dir =
+  match In_channel.with_open_bin (mark_path dir) In_channel.input_all with
+  | exception Sys_error _ -> None
+  | text -> (
+    match String.split_on_char ' ' text with
+    | [ key; n; _ ] -> (
+      match int_of_string_opt n with Some n when render_mark key n = text -> Some (key, n) | _ -> None)
+    | _ -> None)
+
 (* Best-effort removal of every delta-layer file.  Called after the
    commit point of a full [save] (which orphans any chain the
    directory carried) and by [compact]: correctness never depends on
@@ -214,10 +232,11 @@ let scan_snapshot path =
    ([whalelam-layer 1]) share one line grammar: the header, then
    [key], [snapshot], [config], [nvars], [domain] and [checksum]
    lines, then a [selfsum] CRC-32 of every line above it and an [end]
-   trailer.  Only a base carries [block], [relation] and [certified]
-   lines, and only a layer [layer], [base-snapshot], [prev-snapshot]
-   and [delta] lines; a line under the other header is malformed.  A
-   manifest is written (by {!render}) in exactly the order below. *)
+   trailer.  Only a base carries [block] and [relation] lines, and only
+   a layer [layer], [base-snapshot], [prev-snapshot] and [delta] lines;
+   a line under the other header is malformed, except an old base's
+   [certified] line, which is ignored.  A manifest is written (by
+   {!render}) in exactly the order below. *)
 
 type kind = Base | Layer
 
@@ -232,7 +251,6 @@ type manifest = {
   m_checksums : (string * int * int) list; (* file, size, crc32 *)
   m_blocks : (string * int * int array) list; (* base: dom, instance, bits *)
   m_relations : (string * (string * string * int) list) list; (* base: rel, attrs (name, dom, instance) *)
-  m_certified : (string * int) option; (* base: chain-tip (key, snapshot) a semantic certification vouched for *)
   m_index : int; (* layer: its position in the chain, from 1 *)
   m_base_snapshot : int; (* layer: the base save it extends *)
   m_prev_snapshot : int; (* layer: the element directly below (base or layer n-1) *)
@@ -251,7 +269,6 @@ let blank kind path =
     m_checksums = [];
     m_blocks = [];
     m_relations = [];
-    m_certified = None;
     m_index = 0;
     m_base_snapshot = 0;
     m_prev_snapshot = 0;
@@ -286,7 +303,6 @@ let render m =
     m.m_relations;
   List.iter (line "delta %s") m.m_deltas;
   List.iter (fun (file, size, crc) -> line "checksum %s %d %s" file size (Crc32.to_hex crc)) m.m_checksums;
-  Option.iter (fun (k, s) -> line "certified %s %d" k s) m.m_certified;
   (* Self-checksum over every preceding byte: a flipped bit anywhere
      above is caught before any field is believed. *)
   line "selfsum %s" (Crc32.to_hex (Crc32.string (Buffer.contents b)));
@@ -348,7 +364,7 @@ let parse_manifest kind path =
   verify_selfsum path lines;
   let key = ref None and snapshot = ref None and nvars = ref None in
   let index = ref None and base_snapshot = ref None and prev_snapshot = ref None in
-  let config = ref [] and domains = ref [] and checksums = ref [] and certified = ref None in
+  let config = ref [] and domains = ref [] and checksums = ref [] in
   let blocks = ref [] and relations = ref [] and deltas = ref [] in
   List.iteri
     (fun i line ->
@@ -383,7 +399,7 @@ let parse_manifest kind path =
             | _ -> bad ~path ~line:line_no "malformed attribute spec %s" spec
           in
           relations := (rname, List.map parse_attr attrs) :: !relations
-        | [ "certified"; k; s ] when base -> certified := Some (k, nat "certified snapshot" s)
+        | [ "certified"; _; _ ] when base -> () (* a mark from before [mark_path] *)
         | [ "layer"; n ] when not base -> index := Some (nat "layer" n)
         | [ "base-snapshot"; n ] when not base -> base_snapshot := Some (nat "base-snapshot" n)
         | [ "prev-snapshot"; n ] when not base -> prev_snapshot := Some (nat "prev-snapshot" n)
@@ -413,7 +429,6 @@ let parse_manifest kind path =
     m_checksums = List.rev !checksums;
     m_blocks = List.rev !blocks;
     m_relations = List.rev !relations;
-    m_certified = !certified;
     m_index;
     m_base_snapshot;
     m_prev_snapshot;
@@ -446,12 +461,6 @@ let render_map d =
 
 let checksum (file, content) = (file, String.length content, Crc32.string content)
 
-let blocks_of space =
-  List.concat_map
-    (fun d ->
-      List.map (fun (b : Space.block) -> (Domain.name d, b.Space.instance, b.Space.bits)) (Space.instances space d))
-    (Space.domains space)
-
 (* Monotonic per-directory save counter: the follower swap protocol
    distinguishes "same key, re-saved" (snapshot bumps) from "nothing
    changed" (identical key and snapshot).  The next value is one past
@@ -469,7 +478,7 @@ let alloc_snapshot dir ~floor =
   write_atomic (serial_path dir) (string_of_int (prev + 1) ^ "\n");
   prev + 1
 
-let save ~dir ~key ~config ~space ~relations =
+let save_snapshot ~dir ~key ~config ~space ~relations =
   List.iter
     (fun r ->
       check_name "relation" (Relation.name r);
@@ -496,7 +505,7 @@ let save ~dir ~key ~config ~space ~relations =
         m_nvars = Space.num_vars space;
         m_domains = List.map (fun d -> (Domain.name d, Domain.size d, Domain.element_names d <> None)) doms;
         m_checksums = List.map checksum ((bdd_file, dump) :: List.map (fun (dn, m) -> (map_file dn, m)) maps);
-        m_blocks = blocks_of space;
+        m_blocks = Space.layout space;
         m_relations =
           List.map
             (fun r ->
@@ -523,7 +532,10 @@ let save ~dir ~key ~config ~space ~relations =
   write_atomic mpath manifest;
   (* The new base orphans any delta chain the directory carried (its
      layers name the previous base's snapshot); reclaim the files. *)
-  remove_layer_files dir
+  remove_layer_files dir;
+  snapshot
+
+let save ~dir ~key ~config ~space ~relations = ignore (save_snapshot ~dir ~key ~config ~space ~relations)
 
 let exists ~dir = Sys.file_exists (manifest_path dir)
 
@@ -597,18 +609,18 @@ let read_tip ~dir =
         key = m.m_key;
         snapshot = m.m_snapshot;
         layers = List.length c.c_layers;
-        certified = c.c_base.m_certified = Some (m.m_key, m.m_snapshot);
+        certified = read_mark dir = Some (m.m_key, m.m_snapshot);
       }
   | exception Solver_error.Error _ -> None
 
 let read_layers ~dir = Option.map (fun t -> t.layers) (read_tip ~dir)
 
-(* Stat triples (inode, mtime, size) of the base manifest followed by
-   every consecutive layer manifest on disk: the cheap
-   has-anything-changed probe a follower compares between polls.  No
-   parsing, no checksums — a changed list only means "look closer".
-   The walk does not validate chain links, so orphaned tails appear
-   here too; that is fine, the slow path sorts them out. *)
+(* Stat triples (inode, mtime, size) of the base manifest, the mark
+   file (zeros when there is none) and every consecutive layer manifest
+   on disk: the cheap has-anything-changed probe a follower compares
+   between polls.  No parsing, no checksums — a changed list only means
+   "look closer".  The walk does not validate chain links, so orphaned
+   tails appear here too; that is fine, the slow path sorts them out. *)
 let tip_stat ~dir =
   let stat path =
     match Unix.stat path with
@@ -623,7 +635,7 @@ let tip_stat ~dir =
       | None -> List.rev acc
       | Some s -> go (n + 1) (s :: acc)
     in
-    go 1 [ base ]
+    go 1 [ Option.value (stat (mark_path dir)) ~default:(0, 0.0, 0); base ]
 
 (* --- Loading --- *)
 
@@ -773,7 +785,7 @@ let load_with ?mem_cap_bytes ~dir () =
     st_domains = domains;
     st_rels = rels;
     st_layers = List.length c.c_layers;
-    st_certified = base.m_certified = Some (top.m_key, top.m_snapshot);
+    st_certified = read_mark dir = Some (top.m_key, top.m_snapshot);
   }
 
 let load ~dir = load_with ~dir ()
@@ -785,18 +797,14 @@ let load ~dir = load_with ~dir ()
    counter survives any tear), data files next, the layer manifest
    last — its rename is the commit point, and a crash anywhere earlier
    leaves the previous chain tip serving unchanged. *)
-let save_delta ~dir ~key ~config ~space ~deltas =
+let save_delta_snapshot ~dir ~key ~config ~space ~deltas =
   if not (exists ~dir) then invalid_arg (Printf.sprintf "Store.save_delta: no base store at %s" dir);
   let c = open_chain ~broken:"cannot append to a broken delta chain" dir in
   let base = c.c_base in
   (* The layer's BDDs only mean anything under the base's variable
      layout; refuse to append across a layout change. *)
-  let space_blocks = blocks_of space in
-  let block_eq (n1, i1, b1) (n2, i2, b2) = n1 = n2 && i1 = i2 && b1 = b2 in
-  if
-    List.length space_blocks <> List.length base.m_blocks
-    || not (List.for_all (fun sb -> List.exists (block_eq sb) base.m_blocks) space_blocks)
-  then invalid_arg "Store.save_delta: variable layout differs from the base store (cold save required)";
+  if Space.layout space <> List.sort compare base.m_blocks then
+    invalid_arg "Store.save_delta: variable layout differs from the base store (cold save required)";
   List.iter
     (fun (name, _, _) ->
       check_name "relation" name;
@@ -848,7 +856,9 @@ let save_delta ~dir ~key ~config ~space ~deltas =
   write_atomic (Filename.concat (subdir dir) (layer_bdd_file n)) dump;
   (* Layer manifest written last = the commit point of the layer. *)
   write_atomic (layer_manifest_path dir n) manifest;
-  n
+  (n, snapshot)
+
+let save_delta ~dir ~key ~config ~space ~deltas = fst (save_delta_snapshot ~dir ~key ~config ~space ~deltas)
 
 (* Squash the chain back to a single base (LSM compaction): load the
    folded state, full-save it under the tip's key and config — which
@@ -856,39 +866,39 @@ let save_delta ~dir ~key ~config ~space ~deltas =
    layers were squashed.  Crash-safe by construction: every
    intermediate state is either the old chain (before the new base
    manifest commits) or the new base plus ignorable orphans. *)
-let compact ~dir =
+let compact_snapshot ~dir =
   let st = load ~dir in
-  if st.st_layers = 0 then 0
-  else begin
-    save ~dir ~key:st.st_key ~config:st.st_config ~space:st.st_space ~relations:(List.map snd st.st_rels);
-    st.st_layers
-  end
+  if st.st_layers = 0 then (0, st.st_snapshot)
+  else
+    ( st.st_layers,
+      save_snapshot ~dir ~key:st.st_key ~config:st.st_config ~space:st.st_space ~relations:(List.map snd st.st_rels)
+    )
+
+let compact ~dir = fst (compact_snapshot ~dir)
 
 (* --- Semantic certification marks --- *)
 
-(* Record that an independent fixpoint check ({!Pta.Certify}) vouched
-   for the current chain tip: a [certified <key> <snapshot>] line in
-   the base manifest, rewritten through the same atomic barrier as
-   every other manifest write.  The mark names the tip {e identity},
-   so it self-invalidates: a later [save_delta] moves the tip snapshot
-   past the recorded one, and [save]/[compact] rewrite the manifest
-   without the line.  [check] sees the tip before the write, from the
-   same parse.  Returns the recorded pair. *)
+(* Mark the current chain tip; [check] sees it before the write, from
+   the same parse.  Returns the recorded pair. *)
 let write_mark ~dir check =
   let c = open_chain ~broken:"cannot certify a broken delta chain" dir in
   let top = tip c in
   check top;
-  write_atomic c.c_base.m_path (render { c.c_base with m_certified = Some (top.m_key, top.m_snapshot) });
+  write_atomic (mark_path dir) (render_mark top.m_key top.m_snapshot);
   (top.m_key, top.m_snapshot)
 
 let mark_certified ~dir = write_mark ~dir ignore
 
 let mark_certified_ident ~dir ~key ~snapshot =
-  ignore
-    (write_mark ~dir (fun top ->
-         if top.m_key <> key || top.m_snapshot <> snapshot then
-           bad ~path:top.m_path ~line:0 "the chain tip moved to snapshot %d since snapshot %d was checked; not marked"
-             top.m_snapshot snapshot))
+  let still_tip top =
+    if top.m_key <> key || top.m_snapshot <> snapshot then
+      bad ~path:top.m_path ~line:0 "the chain tip moved to snapshot %d since snapshot %d was checked; not marked"
+        top.m_snapshot snapshot
+  in
+  ignore (write_mark ~dir still_tip);
+  (* A save committed during the write leaves the mark naming a
+     superseded identity: harmless, but the caller must hear of it. *)
+  still_tip (tip (open_chain ~broken:"cannot certify a broken delta chain" dir))
 
 (* Test-only semantic corruption: delete the first tuple of [relation]
    (or insert an all-zeros tuple when it is empty) and re-save the
@@ -899,7 +909,7 @@ let mark_certified_ident ~dir ~key ~snapshot =
    own rule in one application, and a deleted input tuple fails input
    containment, so semantic certification must catch what nothing
    byte-level can.  The re-save bumps the snapshot (a new identity
-   followers will consider) and carries no [certified] line. *)
+   followers will consider), so no mark names it. *)
 let corrupt_tuple_for_tests ~dir ~relation =
   let st = load ~dir in
   match List.assoc_opt relation st.st_rels with

@@ -12,6 +12,8 @@
     dir/store/manifest        versioned text manifest (written last)
     dir/store/relations.bdd   shared-DAG dump, one root per relation
     dir/store/<dom>.map       element names, one per line (optional)
+    dir/store/serial          the directory's snapshot counter
+    dir/store/certified       certification mark (optional, see below)
     v}
 
     The manifest carries a [key]: a content hash of the analysis
@@ -89,6 +91,26 @@ val compact : dir:string -> int
     directory reads as either the old chain or the new base plus
     orphaned layers that {!load} ignores. *)
 
+(** {!save}, {!save_delta} and {!compact}, also returning the snapshot
+    each committed (for [compact], of the tip it leaves): what a writer
+    that certifies its own commit hands to {!mark_certified_ident}.
+    Reading the tip back instead could name another writer's save. *)
+
+val save_snapshot :
+  dir:string -> key:string -> config:(string * string) list -> space:Space.t -> relations:Relation.t list -> int
+
+val save_delta_snapshot :
+  dir:string ->
+  key:string ->
+  config:(string * string) list ->
+  space:Space.t ->
+  deltas:(string * Bdd.t * Bdd.t) list ->
+  int * int
+(** (layer index, snapshot) *)
+
+val compact_snapshot : dir:string -> int * int
+(** (layers squashed, snapshot) *)
+
 val exists : dir:string -> bool
 (** A complete store (manifest present) exists at [dir]. *)
 
@@ -100,8 +122,8 @@ val manifest_path : string -> string
 type tip = { key : string; snapshot : int; layers : int; certified : bool }
 (** The committed {e chain tip}: the topmost delta layer's key and
     snapshot (the base's when there are no layers), the number of
-    layers above the base, and whether the base's certification mark
-    names this tip (what {!certified} would say of its load).  Two
+    layers above the base, and whether the certification mark names
+    this tip (what {!certified} would say of its load).  Two
     equal [(key, snapshot)] pairs describe the same state, so a stale
     base can never masquerade as the current save. *)
 
@@ -117,11 +139,12 @@ val read_layers : dir:string -> int option
 (** [read_tip]'s layer count. *)
 
 val tip_stat : dir:string -> (int * float * int) list
-(** [stat] triples (inode, mtime, size) of the base manifest followed
-    by every consecutive layer manifest — the cheap
-    has-anything-changed probe a follower compares between polls
-    before paying for {!read_tip}.  Empty when there is no base
-    manifest. *)
+(** [stat] triples (inode, mtime, size) of the base manifest, the
+    certification mark file (zeros when there is none) and every
+    consecutive layer manifest — the cheap has-anything-changed probe
+    a follower compares between polls before paying for {!read_tip}.
+    Every save, layer and mark changes it.  Empty when there is no
+    base manifest. *)
 
 val load : dir:string -> t
 (** Rebuild the chain tip into a fresh {!Space}: domains (with element
@@ -147,32 +170,36 @@ val load_with : ?mem_cap_bytes:int -> dir:string -> unit -> t
     Byte-level integrity (checksums, write barriers) cannot tell a
     well-formed store holding a wrong answer from a right one.  An
     independent fixpoint check ([Pta.Certify]) can; these record its
-    verdict in the manifest so followers can {e demand} certified
-    snapshots. *)
+    verdict so followers can {e demand} certified snapshots.
+
+    A mark is its own one-line file, [store/certified]: the checked
+    chain-tip [(key, snapshot)] and a CRC-32 of it, written through the
+    atomic write barrier, so recording one never rewrites a manifest.
+    Reading it apart from the chain is sound because it names an
+    identity: snapshots only grow within a directory (the serial file),
+    so no later save carries the identity a stale mark names, and
+    {!save} and {!compact} leave the file alone.  A torn or corrupt
+    mark reads as none, as does a [certified] line in a base manifest
+    written before marks had their own file (re-run [ptacli certify]). *)
 
 val mark_certified : dir:string -> string * int
-(** Record that a semantic certification vouched for the current chain
-    tip: rewrites the base manifest — through the ordinary atomic
-    write barrier — with a [certified <key> <snapshot>] line naming
-    the tip identity, and returns that pair.  The mark self-
-    invalidates: {!save_delta} moves the tip identity past the
-    recorded pair, and {!save}/{!compact} drop the line entirely, so a
-    stale mark can never vouch for state it did not see.  Raises
+(** Mark the current chain tip and return its identity.  Raises
     [Solver_error.Error (Bad_input _)] when there is no store or the
     chain is broken. *)
 
 val mark_certified_ident : dir:string -> key:string -> snapshot:int -> unit
 (** {!mark_certified} for the state a certification actually checked:
-    writes the mark only if [(key, snapshot)] is still the chain tip,
-    decided in the same chain parse as the write, and otherwise raises
-    [Solver_error.Error (Bad_input _)] and leaves the store as it
-    was.  A save committed between a check's load and its mark is
-    therefore never recorded as certified. *)
+    raises [Solver_error.Error (Bad_input _)] without writing when
+    [(key, snapshot)] is not the chain tip (decided in the same chain
+    parse as the write), and also when a save commits while the mark
+    is written — the mark then names a superseded identity and the new
+    tip stays unmarked.  A return means the mark named the tip when it
+    committed. *)
 
 val certified : t -> bool
-(** The loaded chain carries a certification mark naming its own tip —
-    decided from the same manifests the load read, so a gate on it
-    vouches for exactly the state it serves. *)
+(** The mark file, read during the load, names the loaded tip's own
+    [(key, snapshot)] — so a gate on it vouches for exactly the state
+    it serves, whatever has been saved since. *)
 
 val corrupt_tuple_for_tests : dir:string -> relation:string -> unit
 (** {b Test only.}  Inject semantic corruption that byte-level
@@ -180,8 +207,8 @@ val corrupt_tuple_for_tests : dir:string -> relation:string -> unit
     insert an all-zeros tuple when it is empty) and re-save the folded
     state under the same key and config.  The re-save runs the
     ordinary write barrier, so every CRC and selfsum is freshly
-    consistent; the snapshot bumps (followers see a new candidate) and
-    the [certified] mark, if any, is dropped.  Raises
+    consistent; the snapshot bumps (followers see a new candidate), so
+    a mark written before no longer names the tip.  Raises
     [Invalid_argument] for an unknown relation. *)
 
 (** {2 Verification and repair} *)

@@ -6,6 +6,12 @@ module Engine = Datalog.Engine
 type result = { engine : Engine.t; stats : Engine.stats; program_text : string }
 type basic = Algo1 | Algo2 | Algo3
 
+let basic_of_tag = function
+  | "algo1" -> Some Algo1
+  | "algo2" -> Some Algo2
+  | "algo3" -> Some Algo3
+  | _ -> None
+
 let engine_of_program ?options ?domain_order ?file fg text =
   let element_names name = Factgen.element_names fg name in
   let eng = Engine.parse_and_create ?options ~element_names ?domain_order ?file text in
@@ -322,11 +328,10 @@ let solve_with_fallback ?(options = Engine.default_options) ?budget ?query fg =
 
 type refinement_ratios = { population : float; multi_pct : float; refinable_pct : float }
 
-let refinement_ratios lookup ~per_clone =
+let refinement_ratios count ~per_clone =
   let active, multi, refinable =
     if per_clone then ("activeC", "multiC", "refinableC") else ("activeV", "multiT", "refinable")
   in
-  let count name = Relation.count (lookup name) in
   let population = count active in
   let pct x = if population = 0.0 then 0.0 else 100.0 *. x /. population in
   { population; multi_pct = pct (count multi); refinable_pct = pct (count refinable) }

@@ -12,6 +12,10 @@ type basic = Algo1  (** context-insensitive, CHA call graph, no filter *)
            | Algo2  (** + type filtering *)
            | Algo3  (** + on-the-fly call graph discovery *)
 
+val basic_of_tag : string -> basic option
+(** The algorithm a store's [algo] config tag names, when it is one of
+    these three: ["algo1"], ["algo2"] or ["algo3"]. *)
+
 val prepare_basic :
   ?options:Datalog.Engine.options ->
   ?query:Programs.query_suffix ->
@@ -160,8 +164,9 @@ val count : result -> string -> float
 
 type refinement_ratios = { population : float; multi_pct : float; refinable_pct : float }
 
-val refinement_ratios : (string -> Relation.t) -> per_clone:bool -> refinement_ratios
-(** Read the Figure 6 percentages off the relations of a program that
-    included one of the {!Queries} refinement suffixes, looked up by
-    name: a result's ([relation r]) or a loaded store's.  [per_clone]
-    selects the [activeC]/[multiC]/[refinableC] outputs. *)
+val refinement_ratios : (string -> float) -> per_clone:bool -> refinement_ratios
+(** Read the Figure 6 percentages off the tuple counts of a program
+    that included one of the {!Queries} refinement suffixes, looked up
+    by relation name: a result's, a loaded store's, or a frozen
+    snapshot's on an overlay.  [per_clone] selects the
+    [activeC]/[multiC]/[refinableC] outputs. *)

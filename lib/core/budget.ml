@@ -28,11 +28,6 @@ let make ?max_live_nodes ?max_allocations ?max_iterations ?timeout_s () =
 
 let unlimited () = make ()
 
-let max_live_nodes b = b.max_live_nodes
-let max_allocations b = b.max_allocations
-let max_iterations b = b.max_iterations
-let deadline b = b.deadline
-
 let cancel b = b.cancelled <- true
 let is_cancelled b = b.cancelled
 

@@ -55,12 +55,6 @@ val make :
 val unlimited : unit -> t
 (** A fresh budget with no limits — still cancellable. *)
 
-val max_live_nodes : t -> int option
-val max_allocations : t -> int option
-val max_iterations : t -> int option
-val deadline : t -> float option
-(** Absolute [Unix.gettimeofday] deadline, if a timeout was set. *)
-
 val cancel : t -> unit
 (** Cooperative: sets a flag the solver polls at its amortized check
     sites; the solve aborts with {!Cancelled} at the next check. *)

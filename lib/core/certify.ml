@@ -158,16 +158,9 @@ let checker_engine ?options ?query fg store =
   match Store.config_value store "algo" with
   | None -> Error (Unsupported "store config records no algo tag")
   | Some algo -> (
-    match algo with
-    | "algo1" | "algo2" | "algo3" ->
-      let basic =
-        match algo with
-        | "algo1" -> Analyses.Algo1
-        | "algo2" -> Analyses.Algo2
-        | _ -> Analyses.Algo3
-      in
-      Ok (fst (Analyses.prepare_basic ?options ?query ~domain_order ~algo:basic fg), algo)
-    | "algo5" | "1cfa" | "algo5-otf" -> (
+    match (Analyses.basic_of_tag algo, algo) with
+    | Some basic, _ -> Ok (fst (Analyses.prepare_basic ?options ?query ~domain_order ~algo:basic fg), algo)
+    | None, ("algo5" | "1cfa" | "algo5-otf") -> (
       match Store.domain store "C" with
       | None -> Error (Shape_mismatch (Printf.sprintf "%s store has no C domain" algo))
       | Some d ->
@@ -176,7 +169,7 @@ let checker_engine ?options ?query fg store =
               (Analyses.prepare_cs_claimed ?options ?query ~domain_order ~otf:(algo = "algo5-otf") fg
                  ~csize:(Domain.size d)),
             algo ))
-    | other -> Error (Unsupported (Printf.sprintf "no independent rule set for algo %S" other)))
+    | None, other -> Error (Unsupported (Printf.sprintf "no independent rule set for algo %S" other)))
 
 let report_stub algo seconds = { c_algo = algo; c_relations = 0; c_rules = 0; c_strata = 0; c_seconds = seconds }
 
@@ -190,7 +183,7 @@ let certify_store ?options ?query ?(max_witness = 5) fg store =
     fail (stored_algo ()) (Shape_mismatch msg)
   | Error f -> fail (stored_algo ()) f
   | Ok (eng, algo) -> (
-    match Incr.layout_mismatch ~stored:(Store.space store) ~current:(Engine.space eng) with
+    match Space.layout_mismatch ~stored:(Store.space store) ~current:(Engine.space eng) with
     | Some msg -> fail algo (Shape_mismatch msg)
     | None -> (
       let declared = Engine.declared_relations eng in

@@ -30,48 +30,6 @@ let verdict_to_string = function
   | Unchanged -> "unchanged"
   | Cold reason -> Printf.sprintf "cold (%s)" (cold_reason_to_string reason)
 
-(* The exact physical layout of a space: every block's (domain,
-   instance, variable ids), sorted.  Two spaces with equal shapes give
-   the same meaning to the same BDD, which is what makes the
-   serialize/deserialize transfer below — and the whole delta-layer
-   scheme — valid.  Domain {e sizes} are deliberately not part of the
-   shape: a domain may grow within its bit width without moving any
-   variable. *)
-let space_shape sp =
-  List.sort compare
-    (List.concat_map
-       (fun d ->
-         List.map (fun (b : Space.block) -> (Domain.name d, b.Space.instance, b.Space.bits)) (Space.instances sp d))
-       (Space.domains sp))
-
-let layout_mismatch ~stored ~current =
-  if Space.num_vars stored <> Space.num_vars current then
-    Some (Printf.sprintf "%d variables stored, %d now" (Space.num_vars stored) (Space.num_vars current))
-  else
-    let s = space_shape stored and c = space_shape current in
-    if s = c then None
-    else
-      let keys = List.map (fun (dn, i, _) -> (dn, i)) in
-      let only_in a b = List.find_opt (fun k -> not (List.mem k b)) a in
-      match (only_in (keys s) (keys c), only_in (keys c) (keys s)) with
-      | Some (dn, i), _ -> Some (Printf.sprintf "block %s#%d no longer allocated" dn i)
-      | None, Some (dn, i) -> Some (Printf.sprintf "block %s#%d newly allocated" dn i)
-      | None, None -> (
-        (* The same blocks: pair them up, then tell a real width change
-           from blocks that only sit at other variable ids. *)
-        let pairs = List.combine s c in
-        match List.find_opt (fun ((_, _, b), (_, _, b')) -> Array.length b <> Array.length b') pairs with
-        | Some ((dn, i, b), (_, _, b')) ->
-          Some
-            (Printf.sprintf "block widths changed (%s#%d: %d bits stored, %d now)" dn i (Array.length b)
-               (Array.length b'))
-        | None ->
-          (* Name the moved block lowest in the stored layout. *)
-          let lowest (_, _, b) = Array.fold_left min max_int b in
-          let moved = List.filter_map (fun (((_, _, b) as sb), (_, _, b')) -> if b <> b' then Some sb else None) pairs in
-          let dn, i, _ = List.hd (List.sort (fun x y -> compare (lowest x) (lowest y)) moved) in
-          Some (Printf.sprintf "block %s#%d moved" dn i))
-
 (* Copy every stored relation's BDD into the engine's manager as one
    shared-DAG transfer.  Only valid when the layouts match. *)
 let transfer_relations store eng =
@@ -99,7 +57,7 @@ let update ?options ?query ~algo ~store fg =
   if List.sort compare declared <> List.sort compare stored then
     cold (Relation_set_changed (sym_diff declared stored))
   else
-    match layout_mismatch ~stored:(Store.space store) ~current:(Engine.space engine) with
+    match Space.layout_mismatch ~stored:(Store.space store) ~current:(Engine.space engine) with
     | Some msg -> cold (Layout_changed msg)
     | None -> (
       let old = transfer_relations store engine in
@@ -169,3 +127,91 @@ let update ?options ?query ~algo ~store fg =
             in
             Bdd.remove_root_list man rooted;
             finish Incremental (Some stats) deltas additions))
+
+(* --- The commit cycle --- *)
+
+let store_key ~program_bytes ~algo ~(query : Programs.query_suffix) =
+  let fields = [ program_bytes; algo; query.q_relations; query.q_rules; string_of_int Store.format_version ] in
+  Digest.to_hex (Digest.string (String.concat "\x00" fields))
+
+type mark = Not_certifying | Marked | Mark_refused of string
+type rescue = { r_quarantined : string option; r_check : Certify.verdict }
+
+type committed = {
+  c_key : string;
+  c_outcome : outcome;
+  c_check : Certify.verdict option;
+  c_rescue : rescue option;
+  c_snapshot : int;
+  c_layers : int;
+  c_compacted : (int * int) option;
+  c_mark : mark;
+}
+
+type commit = Current of Store.t | Committed of committed
+
+let commit ?options ~certify ~compact_every ~dir ~program_path ~program_bytes () =
+  let ( let* ) = Result.bind in
+  try
+    let st = Store.load ~dir in
+    let tag = Option.value (Store.config_value st "algo") ~default:"(unrecorded)" in
+    let key = store_key ~program_bytes ~algo:tag ~query:Programs.no_query in
+    match Analyses.basic_of_tag tag with
+    | None ->
+      Solver_error.raise_bad_input ~file:(Store.manifest_path dir) ~line:0
+        "store was saved by %s; update supports algo1, algo2 and algo3" tag
+    | Some _ when Store.key st = key -> Ok (Current st)
+    | Some algo ->
+      let fg =
+        match Jir.Jparser.parse program_bytes with
+        | p -> Factgen.extract p
+        | exception Jir.Jparser.Parse_error { line; message } ->
+          Solver_error.raise_bad_input ~file:program_path ~line "%s" message
+      in
+      let* o = update ?options ~algo ~store:st fg in
+      (* Certify the candidate before it is written: a result that is
+         not a closed model of this program's rules never reaches the
+         chain.  One that fails takes the delta chain it was built on
+         out of service and is replaced by a cold re-solve, which must
+         certify in turn. *)
+      let check eng = Certify.certify_engine ~algo:tag ~fresh_inputs:(Programs.input_relations fg) eng in
+      let c_check = if certify then Some (check o.engine) else None in
+      let* c_rescue, engine =
+        match c_check with
+        | Some v when not (Certify.passed v) -> (
+          let r_quarantined = Store.quarantine_layers ~dir ~from_layer:1 in
+          let* cold = Analyses.solve_basic ?options ~algo fg in
+          let r_check = check cold.Analyses.engine in
+          match r_check.Certify.v_failure with
+          | Some f ->
+            Error
+              (Solver_error.Internal
+                 (Printf.sprintf "cold re-solve also failed certification (%s); refusing to commit"
+                    (Certify.failure_to_string f)))
+          | None -> Ok (Some { r_quarantined; r_check }, cold.Analyses.engine))
+        | Some _ | None -> Ok (None, o.engine)
+      in
+      let config = [ ("program", Filename.basename program_path); ("algo", tag) ] in
+      let space = Engine.space engine in
+      let c_layers, c_snapshot =
+        match (c_rescue, o.verdict) with
+        | None, (Incremental | Unchanged) -> Store.save_delta_snapshot ~dir ~key ~config ~space ~deltas:o.deltas
+        | Some _, _ | None, Cold _ ->
+          (0, Store.save_snapshot ~dir ~key ~config ~space ~relations:(Engine.declared_relations engine))
+      in
+      let c_compacted =
+        if compact_every > 0 && c_layers >= compact_every then
+          match Store.compact_snapshot ~dir with 0, _ -> None | squashed -> Some squashed
+        else None
+      in
+      (* One mark, naming the identity this call committed last. *)
+      let c_mark =
+        if not certify then Not_certifying
+        else
+          let snapshot = match c_compacted with Some (_, s) -> s | None -> c_snapshot in
+          match Store.mark_certified_ident ~dir ~key ~snapshot with
+          | () -> Marked
+          | exception Solver_error.Error e -> Mark_refused (Solver_error.to_string e)
+      in
+      Ok (Committed { c_key = key; c_outcome = o; c_check; c_rescue; c_snapshot; c_layers; c_compacted; c_mark })
+  with Solver_error.Error e -> Error e

@@ -75,10 +75,57 @@ val update :
 
 val verdict_to_string : verdict -> string
 
-val layout_mismatch : stored:Space.t -> current:Space.t -> string option
-(** [None] when the two spaces give the same meaning to the same BDD:
-    equal variable counts and every (domain, instance) block at the
-    same variable ids.  Otherwise a human-readable description of the
-    first mismatch.  This is {!update}'s layout gate, exported so
-    {!Certify} can refuse to interpret a store's BDDs against a
-    checker engine with a different physical layout. *)
+(** {2 The commit cycle} *)
+
+val store_key : program_bytes:string -> algo:string -> query:Programs.query_suffix -> string
+(** The content key a store is saved under: a hash of the program bytes,
+    the algorithm tag, the query-suffix text and
+    {!Store.format_version}.  A change to any of them is a store miss. *)
+
+type mark =
+  | Not_certifying
+  | Marked
+  | Mark_refused of string
+      (** {!Store.mark_certified_ident}'s error, e.g. another save moved
+          the tip first: the store is left unmarked *)
+
+type rescue = { r_quarantined : string option; r_check : Certify.verdict }
+(** The result failed certification: the delta chain went to
+    [r_quarantined] and a cold re-solve, certified by [r_check], was
+    committed instead. *)
+
+type committed = {
+  c_key : string;
+  c_outcome : outcome;
+  c_check : Certify.verdict option;  (** [c_outcome]'s certification, when certifying *)
+  c_rescue : rescue option;
+  c_snapshot : int;  (** of the base or layer written *)
+  c_layers : int;  (** the layer's index; 0 for a new base *)
+  c_compacted : (int * int) option;  (** layers squashed, new base snapshot *)
+  c_mark : mark;
+}
+
+type commit =
+  | Current of Store.t  (** the tip, loaded, already holds this program *)
+  | Committed of committed
+
+val commit :
+  ?options:Datalog.Engine.options ->
+  certify:bool ->
+  compact_every:int ->
+  dir:string ->
+  program_path:string ->
+  program_bytes:string ->
+  unit ->
+  (commit, Solver_error.t) result
+(** One [ptacli update] cycle over the Algorithm 1-3 store at [dir]:
+    {!update} against the chain tip; with [certify], check the result
+    before it is written, and on a failure quarantine the delta chain
+    and re-solve cold; save (a layer for an incremental or unchanged
+    verdict, else a base); compact once the chain holds
+    [compact_every > 0] layers; then, with [certify], mark the identity
+    this call committed, once ({!Store.mark_certified_ident}).
+    [program_path] is recorded by base name and named in parse errors.
+    [Error] carries a missing or broken store, an unsupported
+    algorithm, a parse error, a budget violation, or a cold re-solve
+    that fails certification too (nothing is written then). *)

@@ -114,27 +114,17 @@ let vuln t ov =
   in
   ok "vuln" (List.map row (List.sort compare (Relation.frozen_tuples ov rel)))
 
-(* Same arithmetic as [Analyses.refinement_ratios], over whichever
-   refinement family (per-variable or per-clone) the store holds. *)
 let refine t ov =
-  let family =
-    if List.mem_assoc "activeC" t.frels then Some ("activeC", "multiC", "refinableC")
-    else if List.mem_assoc "activeV" t.frels then Some ("activeV", "multiT", "refinable")
-    else None
-  in
-  match family with
-  | None -> err "refine" "no refinement relations in this store (solve with --refine)"
-  | Some (active, multi, refinable) ->
-    require "refine" t active @@ fun a ->
-    require "refine" t multi @@ fun m ->
-    require "refine" t refinable @@ fun r ->
-    let population = Relation.frozen_count ov a in
-    let pct x = if population = 0.0 then 0.0 else 100.0 *. x /. population in
+  let per_clone = List.mem_assoc "activeC" t.frels in
+  let count name = Relation.frozen_count ov (List.assoc name t.frels) in
+  match Analyses.refinement_ratios count ~per_clone with
+  | exception Not_found -> err "refine" "no refinement relations in this store (solve with --refine)"
+  | r ->
     ok "refine"
       [
-        Printf.sprintf "population %.0f" population;
-        Printf.sprintf "multi-type %.2f%%" (pct (Relation.frozen_count ov m));
-        Printf.sprintf "refinable %.2f%%" (pct (Relation.frozen_count ov r));
+        Printf.sprintf "population %.0f" r.Analyses.population;
+        Printf.sprintf "multi-typed %.2f%%" r.Analyses.multi_pct;
+        Printf.sprintf "refinable %.2f%%" r.Analyses.refinable_pct;
       ]
 
 let count t ov name =
@@ -584,9 +574,10 @@ module Follow = struct
     f_require_certified : bool;
     mutable f_seen : string * int;  (* identity currently served *)
     mutable f_stat : (int * float * int) list;
-        (* (ino, mtime, size) of the base manifest and every committed
-           layer manifest — so an incremental [save_delta], which never
-           touches the base manifest, still changes the cheap probe *)
+        (* (ino, mtime, size) of the base manifest, the mark file and
+           every committed layer manifest — so an incremental
+           [save_delta] or a certification mark, which never touch the
+           base manifest, still change the cheap probe *)
   }
 
   let manifest_stat dir = Store.tip_stat ~dir
@@ -624,8 +615,8 @@ module Follow = struct
         st.f_stat <- stat;
         Unchanged
       | Some tip when st.f_require_certified && not tip.Store.certified ->
-        (* The manifests already say the tip is unvouched-for: reject
-           without reading a data file. *)
+        (* The manifests and the mark file already say the tip is
+           unvouched-for: reject without reading a data file. *)
         reject st stat (not_certified tip.Store.snapshot)
       | Some _ -> (
         let t0 = Unix.gettimeofday () in

@@ -203,10 +203,11 @@ end
 
     The watch half of [ptacli serve --follow]: poll the store
     directory and hot-swap the source when a new committed save
-    appears.  Change detection stats the base manifest {e and} every
-    committed delta-layer manifest ({!Bddrel.Store.tip_stat}) — each
-    one is its save's single commit point, so both full saves and
-    incremental [save_delta] appends are noticed — then compares the
+    appears.  Change detection stats the base manifest, the
+    certification mark file {e and} every committed delta-layer
+    manifest ({!Bddrel.Store.tip_stat}) — each one is its write's
+    single commit point, so full saves, incremental [save_delta]
+    appends and new marks are all noticed — then compares the
     chain-tip identity ({!Bddrel.Store.read_tip}) with the served one
     before doing any real work.  A new candidate is loaded (every file
     of its chain read once and checksum- and structure-checked), gated
@@ -227,7 +228,7 @@ module Follow : sig
   (** Start following [dir]; the source's current server is assumed to
       be the store currently on disk there (the driver loads it before
       calling this).  With [require_certified] (default off), a
-      candidate whose tip the manifests show unmarked
+      candidate whose tip the manifests and mark file show unmarked
       ({!Bddrel.Store.tip}'s [certified]) is [Rejected] before any
       data file is read, and one that is loaded is swapped in only
       when the loaded store carries a certification mark naming its

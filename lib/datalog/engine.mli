@@ -123,14 +123,14 @@ val relations : t -> Relation.t list
 val exported_relations : t -> Relation.t list
 (** The program's interface relations — declared inputs (including
     computed inputs installed by a driver) and outputs, in declaration
-    order, excluding internal working relations.  This is the set a
-    persistent results store ({!Bddrel.Store}) saves after a solve. *)
+    order, excluding internal working relations. *)
 
 val declared_relations : t -> Relation.t list
 (** Every declared relation, internals included, in declaration order.
-    An update-capable store saves these: an incremental re-solve needs
-    the previous run's internal working relations (e.g. [assign]) as
-    its starting point, not just the interface. *)
+    This is the set a persistent results store ({!Bddrel.Store}) saves:
+    an incremental re-solve needs the previous run's internal working
+    relations (e.g. [assign]) as its starting point, not just the
+    interface. *)
 
 val input_relations : t -> Relation.t list
 (** The declared [Input] relations, in declaration order — the set an

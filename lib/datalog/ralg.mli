@@ -81,13 +81,6 @@ val storage_slots : Resolve.t -> string -> (string * int) array
     instance).  The k-th attribute of domain D is stored in instance k
     of D. *)
 
-val assign : Resolve.t -> greedy:bool -> Ast.rule -> (string * int) list
-(** Physical-instance assignment for every variable of the rule, in
-    {!Ast.vars_of_rule} order.  [greedy = false] is first-free in
-    variable order; [greedy = true] is the attributes-naming
-    optimization: variables in descending occurrence count, each taking
-    the free instance most of its storage positions already use. *)
-
 val lower : Resolve.t -> Ast.rule -> plan
 (** Datalog -> IR, unoptimized: naive (non-greedy) binding, body
     scheduled positives-first with negations/comparisons flushed as

@@ -2,12 +2,13 @@
 
    - a genuine fixpoint — cold, incremental, or loaded under a memory
      cap — passes certification, and the pass can be recorded in the
-     store manifest ([mark_certified]) and read back;
+     store's mark file ([mark_certified]) and read back;
    - a single CRC-clean tuple flip that byte-level [Store.verify]
      cannot see fails certification with the violating rule (or the
      non-contained input) and bounded witness tuples;
    - the certification mark names the exact chain-tip identity:
-     [save_delta] moves the tip past it, [save] drops it;
+     [save_delta] and [save] move the tip past it, and a save that
+     commits while a mark is written stays the tip, unmarked;
    - a [Serve.Follow ~require_certified] follower rejects an
      uncertified candidate while the old snapshot keeps serving, and
      swaps the moment the mark appears. *)
@@ -56,11 +57,13 @@ let store_healthy dir =
 let tip_ident dir = Option.map (fun (t : Store.tip) -> (t.key, t.snapshot)) (Store.read_tip ~dir)
 let loads_certified dir = Store.certified (Store.load ~dir)
 
-(* The base manifest's [certified] line, if any — the mark as written,
-   whether or not it still names the tip. *)
+(* The identity in the mark file ([store/certified]: key, snapshot,
+   CRC-32), if any — the mark as written, whether or not it still names
+   the tip. *)
 let mark_line dir =
-  In_channel.with_open_bin (Store.manifest_path dir) In_channel.input_lines
-  |> List.find_opt (String.starts_with ~prefix:"certified ")
+  match In_channel.with_open_bin (Filename.concat dir "store/certified") In_channel.input_line with
+  | exception Sys_error _ -> None
+  | line -> Option.map (fun l -> String.concat " " (List.filteri (fun i _ -> i < 2) (String.split_on_char ' ' l))) line
 
 let certify ?(dir_load = fun dir -> Store.load ~dir) dir =
   let st = dir_load dir in
@@ -153,21 +156,20 @@ let test_mark_invalidation () =
   let dir = copy_base "certify-mark-inval" in
   let marked = Store.mark_certified ~dir in
   Alcotest.(check bool) "marked" true (loads_certified dir);
-  (* save_delta moves the tip: the stale mark stays in the base
-     manifest but no longer names the tip, so a load of the new tip is
-     not certified. *)
+  (* save_delta moves the tip: the stale mark stays in its file but no
+     longer names the tip, so a load of the new tip is not certified. *)
   let st = Store.load ~dir in
   ignore (Store.save_delta ~dir ~key:"certify-rekeyed" ~config:(Store.config st) ~space:(Store.space st) ~deltas:[]);
-  Alcotest.(check (option string)) "mark survives textually"
-    (Some (Printf.sprintf "certified %s %d" (fst marked) (snd marked)))
-    (mark_line dir);
+  let marked_line = Some (Printf.sprintf "%s %d" (fst marked) (snd marked)) in
+  Alcotest.(check (option string)) "mark survives textually" marked_line (mark_line dir);
   Alcotest.(check bool) "but no longer names the tip" true (tip_ident dir <> Some marked);
   Alcotest.(check bool) "so the new tip loads uncertified" false (loads_certified dir);
-  (* A fresh full save drops the line entirely. *)
+  (* A fresh full save leaves the mark file alone: a larger snapshot. *)
   let st2 = Store.load ~dir in
   Store.save ~dir ~key:"certify-resaved" ~config:(Store.config st2) ~space:(Store.space st2)
     ~relations:(Store.relations st2);
-  Alcotest.(check (option string)) "full save drops the mark" None (mark_line dir);
+  Alcotest.(check bool) "the stale mark no longer names the tip" true
+    (mark_line dir = marked_line && tip_ident dir <> Some marked);
   Alcotest.(check bool) "and the base loads uncertified" false (loads_certified dir);
   (* Re-marking after the save vouches for the new tip. *)
   let remarked = Store.mark_certified ~dir in
@@ -193,6 +195,31 @@ let test_mark_checked_identity () =
   | Some (key, snapshot) ->
     Store.mark_certified_ident ~dir ~key ~snapshot;
     Alcotest.(check bool) "the current tip marks and loads certified" true (loads_certified dir)
+
+(* A save that commits at the first file operation of a mark stays the
+   tip, unmarked, and loads its own data: the mark is written to its own
+   file, never over the manifest it parsed. *)
+let test_mark_races_save () =
+  let dir = copy_base "certify-mark-race" in
+  let tuples st = Relation.count (Option.get (Store.find st "vP")) in
+  let before = tuples (Store.load ~dir) in
+  let fired = ref false in
+  Faults.set_fs_hook
+    (Some
+       (fun _ ->
+         Faults.set_fs_hook None;
+         fired := true;
+         Store.corrupt_tuple_for_tests ~dir ~relation:"vP"));
+  let marked = Fun.protect ~finally:(fun () -> Faults.set_fs_hook None) (fun () -> Store.mark_certified ~dir) in
+  Alcotest.(check bool) "the save ran inside the mark" true !fired;
+  (match Store.read_tip ~dir with
+  | None -> Alcotest.fail "no tip after the racing save"
+  | Some tip ->
+    Alcotest.(check bool) "the newer save stays the tip" true (tip.Store.snapshot > snd marked);
+    Alcotest.(check bool) "unmarked" false tip.Store.certified);
+  let st = Store.load ~dir in
+  Alcotest.(check bool) "it loads unmarked" false (Store.certified st);
+  Alcotest.(check (float 0.0)) "with its own tuples" (before -. 1.0) (tuples st)
 
 (* --- incremental and mem-capped results certify bit-identically --- *)
 
@@ -388,6 +415,7 @@ let () =
         [
           Alcotest.test_case "save_delta outdates the mark; save drops it" `Quick test_mark_invalidation;
           Alcotest.test_case "a moved tip refuses the checked identity's mark" `Quick test_mark_checked_identity;
+          Alcotest.test_case "a save committed inside a mark stays the tip, unmarked" `Quick test_mark_races_save;
         ] );
       ( "follow",
         [

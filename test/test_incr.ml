@@ -189,7 +189,7 @@ let test_old_order_store () =
     ~relations:(Engine.declared_relations old);
   let current, _ = Analyses.prepare_basic ~algo:Analyses.Algo3 fg in
   Alcotest.(check (option string)) "the program's own order differs" (Some "block V#0 moved")
-    (Incr.layout_mismatch ~stored:(Store.space (Store.load ~dir)) ~current:(Engine.space current));
+    (Space.layout_mismatch ~stored:(Store.space (Store.load ~dir)) ~current:(Engine.space current));
   let v = Pta.Certify.certify_store fg (Store.load ~dir) in
   (match v.Pta.Certify.v_failure with
   | None -> ()
@@ -324,16 +324,70 @@ let layout_of domains =
 let test_layout_moved () =
   let stored = layout_of [ ("D", 256); ("E", 256) ] in
   Alcotest.(check (option string)) "same layout" None
-    (Incr.layout_mismatch ~stored ~current:(layout_of [ ("D", 256); ("E", 256) ]));
+    (Space.layout_mismatch ~stored ~current:(layout_of [ ("D", 256); ("E", 256) ]));
   Alcotest.(check (option string)) "swapped blocks" (Some "block D#0 moved")
-    (Incr.layout_mismatch ~stored ~current:(layout_of [ ("E", 256); ("D", 256) ]))
+    (Space.layout_mismatch ~stored ~current:(layout_of [ ("E", 256); ("D", 256) ]))
 
 let test_layout_width () =
   (* D shrinks by as many bits as E grows: same variable count. *)
   Alcotest.(check (option string)) "traded widths" (Some "block widths changed (D#0: 8 bits stored, 4 now)")
-    (Incr.layout_mismatch
+    (Space.layout_mismatch
        ~stored:(layout_of [ ("D", 256); ("E", 16) ])
        ~current:(layout_of [ ("D", 16); ("E", 256) ]))
+
+(* --- The commit cycle: [Incr.commit] writes, certifies and marks the
+   identity it committed, once.  A save by someone else that commits at
+   the first fs op of that mark stays the tip, unmarked, and the commit
+   reports the refused mark. --- *)
+
+let test_commit_marks_own_identity () =
+  let dir = tmp_dir "incr-commit" in
+  let profile = Option.get (Synth.Profiles.find "gantt") in
+  let program edits =
+    let p = Synth.Generator.generate (Synth.Profiles.params ~scale:0.02 profile) in
+    List.iter (fun seed -> ignore (Synth.Edits.apply p { Synth.Edits.kind = Synth.Edits.Add_method; seed })) edits;
+    Jir.Jprinter.to_string p
+  in
+  let base = ok (Analyses.solve_basic ~algo:Analyses.Algo3 (Jir.Factgen.extract (Jir.Jparser.parse (program [])))) in
+  Store.save ~dir ~key:"base-key" ~config:[ ("algo", "algo3") ] ~space:(Engine.space base.Analyses.engine)
+    ~relations:(Engine.declared_relations base.Analyses.engine);
+  let commit edits =
+    match
+      ok
+        (Incr.commit ~certify:true ~compact_every:0 ~dir ~program_path:"gantt.jir" ~program_bytes:(program edits) ())
+    with
+    | Incr.Committed c -> c
+    | Incr.Current _ -> Alcotest.fail "an edited program read as current"
+  in
+  let c = commit [ 0 ] in
+  Alcotest.(check string) "verdict" "incremental" (Incr.verdict_to_string c.Incr.c_outcome.Incr.verdict);
+  Alcotest.(check bool) "certified before the write" true (Option.map Pta.Certify.passed c.Incr.c_check = Some true);
+  Alcotest.(check bool) "marked" true (c.Incr.c_mark = Incr.Marked);
+  Alcotest.(check bool) "the committed layer is the marked tip" true
+    (Store.read_tip ~dir = Some { Store.key = c.Incr.c_key; snapshot = c.Incr.c_snapshot; layers = 1; certified = true });
+  (match ok (Incr.commit ~certify:true ~compact_every:0 ~dir ~program_path:"gantt.jir" ~program_bytes:(program [ 0 ]) ()) with
+  | Incr.Current st -> Alcotest.(check bool) "a second commit of the same bytes is current" true (Store.certified st)
+  | Incr.Committed _ -> Alcotest.fail "the same program committed twice");
+  let interloper = ref None in
+  Faults.set_fs_hook
+    (Some
+       (fun label ->
+         if Filename.basename label = "certified.tmp" then begin
+           Faults.set_fs_hook None;
+           let st = Store.load ~dir in
+           interloper :=
+             Some
+               (Store.save_snapshot ~dir ~key:"interloper" ~config:(Store.config st) ~space:(Store.space st)
+                  ~relations:(Store.relations st))
+         end));
+  let c = Fun.protect ~finally:(fun () -> Faults.set_fs_hook None) (fun () -> commit [ 0; 1 ]) in
+  let snapshot = match !interloper with Some s -> s | None -> Alcotest.fail "the mark wrote no file" in
+  (match c.Incr.c_mark with
+  | Incr.Mark_refused _ -> ()
+  | Incr.Marked | Incr.Not_certifying -> Alcotest.fail "the commit did not report the refused mark");
+  Alcotest.(check bool) "the interloping save stays the tip, unmarked" true
+    (Store.read_tip ~dir = Some { Store.key = "interloper"; snapshot; layers = 0; certified = false });
+  Alcotest.(check bool) "and loads unmarked" false (Store.certified (Store.load ~dir))
 
 (* --- Crash matrix for save_delta: the base is never touched, so every
    crash point must reopen as old tip or new tip — absent is a bug. --- *)
@@ -450,6 +504,8 @@ let () =
           Alcotest.test_case "removal: cold fall-back, still identical" `Quick test_removal_goes_cold;
           Alcotest.test_case "random edit scripts always match cold" `Quick test_random_edit_scripts;
           Alcotest.test_case "old-order store: certifies, first edit goes cold" `Quick test_old_order_store;
+          Alcotest.test_case "commit marks its own identity; a racing save stays unmarked" `Quick
+            test_commit_marks_own_identity;
         ] );
       ( "layout",
         [

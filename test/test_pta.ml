@@ -647,15 +647,15 @@ let test_precision_lattice_on_synth () =
 let test_type_refinement () =
   let fg = fg_of container_src in
   let ci = Analyses.run_basic ~algo:Analyses.Algo2 ~query:Queries.refinement_ci fg in
-  let ci_r = Analyses.refinement_ratios (Analyses.relation ci) ~per_clone:false in
+  let ci_r = Analyses.refinement_ratios (Analyses.count ci) ~per_clone:false in
   let otf = Analyses.run_basic ~algo:Analyses.Algo3 fg in
   let ctx = Analyses.make_context fg ~ie:(Analyses.ie_tuples otf) in
   let cs_proj = Analyses.run_cs fg ctx ~query:Queries.refinement_projected_cs in
-  let proj_r = Analyses.refinement_ratios (Analyses.relation cs_proj) ~per_clone:false in
+  let proj_r = Analyses.refinement_ratios (Analyses.count cs_proj) ~per_clone:false in
   let cs_full = Analyses.run_cs fg ctx ~query:Queries.refinement_full_cs in
-  let full_r = Analyses.refinement_ratios (Analyses.relation cs_full) ~per_clone:true in
+  let full_r = Analyses.refinement_ratios (Analyses.count cs_full) ~per_clone:true in
   let ts_full = Analyses.run_cs_types fg ctx ~query:Queries.refinement_full_ts in
-  let ts_r = Analyses.refinement_ratios (Analyses.relation ts_full) ~per_clone:true in
+  let ts_r = Analyses.refinement_ratios (Analyses.count ts_full) ~per_clone:true in
   let in_range r =
     r.Analyses.multi_pct >= 0.0 && r.Analyses.multi_pct <= 100.0 && r.Analyses.refinable_pct >= 0.0
     && r.Analyses.refinable_pct <= 100.0 && r.Analyses.population > 0.0

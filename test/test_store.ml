@@ -144,7 +144,7 @@ let test_warm_serve_batch () =
       | _ -> ())
     queries outcomes;
   (* The refinement ratios must match the engine-side computation. *)
-  let r = Analyses.refinement_ratios (Analyses.relation cs) ~per_clone:false in
+  let r = Analyses.refinement_ratios (Analyses.count cs) ~per_clone:false in
   let refine_outcome = List.nth outcomes 98 in
   Alcotest.(check string) "refine population"
     (Printf.sprintf "population %.0f" r.Analyses.population)
